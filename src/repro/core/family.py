@@ -223,20 +223,6 @@ class PolynomialFamily(CurveFamily):
         return [r for r in roots
                 if lo + eps < r and (not math.isfinite(hi) or r < hi - eps)]
 
-    def same(self, f: Polynomial, g: Polynomial) -> bool:
-        if f is g:
-            return True
-        a, b = f._cl, g._cl
-        if len(a) != len(b):
-            return False
-        # Direct coefficient comparison: equivalent to (f - g).is_zero()
-        # for trimmed representations, without allocating the difference.
-        # Spelled out (|a - b| <= atol + rtol * |b|) rather than through
-        # np.allclose, whose wrapper stack dominates at this call rate.
-        return all(
-            abs(x - y) <= 1e-11 + 1e-9 * abs(y) for x, y in zip(a, b)
-        )
-
     def combine(self, f: Polynomial, g: Polynomial, kind: str) -> Polynomial:
         if kind == "sum":
             return f + g

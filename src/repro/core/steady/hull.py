@@ -82,8 +82,8 @@ class _SteadyDirection:
         ha, hb = self._half(), other._half()
         if ha != hb:
             return ha < hb
-        crossv = self.dx * other.dy - other.dx * self.dy
-        return crossv.sign() > 0  # self strictly CCW-before other
+        # self strictly CCW-before other: cross(self, other) > 0.
+        return (self.dx * other.dy).compare(other.dx * self.dy) > 0
 
     def __gt__(self, other: "_SteadyDirection") -> bool:
         return other.__lt__(self)
@@ -141,7 +141,7 @@ def steady_is_extreme_angular(machine: Machine | None, system: PointSystem,
     # a hull edge, which is not an *extreme* point.
     saw_distinct = False
     for a, b in zip(ordered, ordered[1:] + ordered[:1]):
-        cr = (a.dx * b.dy - b.dx * a.dy).sign()
+        cr = (a.dx * b.dy).compare(b.dx * a.dy)
         dt = (a.dx * b.dx + a.dy * b.dy).sign()
         if cr != 0 or dt < 0:
             saw_distinct = True

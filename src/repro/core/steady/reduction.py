@@ -62,25 +62,31 @@ class SteadyValue:
         return self if self.sign() >= 0 else -self
 
     # -- total order at infinity -----------------------------------------
+    # Every comparison is one coefficient scan (Polynomial.steady_compare):
+    # the sign of the difference is read off without building it.
     def sign(self) -> int:
         return self.poly.sign_at_infinity()
 
+    def compare(self, other) -> int:
+        """-1 / 0 / +1: the sign of ``self - other`` as ``t -> inf``."""
+        return self.poly.steady_compare(self._lift(other).poly)
+
     def __lt__(self, other):
-        return (self - self._lift(other)).sign() < 0
+        return self.compare(other) < 0
 
     def __le__(self, other):
-        return (self - self._lift(other)).sign() <= 0
+        return self.compare(other) <= 0
 
     def __gt__(self, other):
-        return (self - self._lift(other)).sign() > 0
+        return self.compare(other) > 0
 
     def __ge__(self, other):
-        return (self - self._lift(other)).sign() >= 0
+        return self.compare(other) >= 0
 
     def __eq__(self, other):
         if not isinstance(other, (SteadyValue, int, float, Polynomial)):
             return NotImplemented
-        return (self - self._lift(other)).sign() == 0
+        return self.compare(other) == 0
 
     def __hash__(self):
         return hash(self.poly)

@@ -22,7 +22,6 @@ from ..machines.machine import Machine
 from ..ops import semigroup
 from ..ops._common import next_pow2
 from .antipodal import antipodal_pairs_parallel
-from .primitives import sign_of
 
 __all__ = ["enclosing_rectangle", "enclosing_rectangle_parallel",
            "rectangle_corners", "RectangleSupport"]
@@ -50,7 +49,7 @@ class RectangleSupport:
         """Fraction comparison by cross-multiplication (denominators > 0)."""
         lhs = self.area_num * other.len2_den
         rhs = other.area_num * self.len2_den
-        return sign_of(lhs - rhs) < 0
+        return lhs < rhs
 
     def area(self) -> float:
         """Numeric area (float coordinates only)."""

@@ -76,7 +76,7 @@ def encode_envelope(env: PiecewiseFunction) -> dict:
     """
     return {
         "pieces": [
-            [p.lo, p.hi, [float(c) for c in p.fn.coeffs], repr(p.label)]
+            [p.lo, p.hi, list(p.fn._cl), repr(p.label)]
             for p in env.pieces
         ]
     }

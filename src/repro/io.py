@@ -37,7 +37,7 @@ def system_to_dict(system: PointSystem) -> dict:
         "dimension": system.dimension,
         "k": system.k,
         "motions": [
-            [list(map(float, coord.coeffs)) for coord in motion.coords]
+            [list(coord._cl) for coord in motion.coords]
             for motion in system.motions
         ],
     }
@@ -86,7 +86,7 @@ def piecewise_to_dict(pw: PiecewiseFunction) -> dict:
         pieces.append({
             "lo": p.lo,
             "hi": None if math.isinf(p.hi) else p.hi,
-            "coeffs": list(map(float, p.fn.coeffs)),
+            "coeffs": list(p.fn._cl),
             "label": label,
         })
     return {"format": "repro/piecewise", "version": _VERSION,

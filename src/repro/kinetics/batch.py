@@ -70,8 +70,7 @@ def warm_root_candidates(polys: Sequence[Polynomial]) -> None:
         if p._rc is not None or p.degree < 2:
             continue
         if p.degree == 2:
-            c = p.coeffs
-            p._rc = _quadratic_candidates(c[0], c[1], c[2])
+            p._rc = _quadratic_candidates(*p._cl)
             continue
         desc = p.coeffs[::-1]
         # np.roots strips exact trailing zeros (roots at 0, re-appended

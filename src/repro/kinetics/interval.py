@@ -69,9 +69,10 @@ class Interval:
 
 def poly_range(p: Polynomial, t: Interval) -> Interval:
     """An interval guaranteed to contain ``{p(x) : x in t}`` (Horner IA)."""
-    acc = Interval.point(float(p.coeffs[-1]))
-    for c in p.coeffs[-2::-1]:
-        acc = (acc * t).add_scalar(float(c))
+    cl = p._cl
+    acc = Interval.point(cl[-1])
+    for c in cl[-2::-1]:
+        acc = (acc * t).add_scalar(c)
     return acc
 
 

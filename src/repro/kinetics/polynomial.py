@@ -32,12 +32,35 @@ COEFF_EPS = 1e-11
 ROOT_EPS = 1e-8
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    """Drop trailing (highest-degree) coefficients that are numerically zero."""
-    nz = np.flatnonzero(np.abs(coeffs) > COEFF_EPS)
-    if nz.size == 0:
-        return np.zeros(1)
-    return coeffs[: nz[-1] + 1]
+def _init(p: "Polynomial", lst: list) -> None:
+    """Validate, trim and install ``lst``, a fresh non-empty float list."""
+    for x in lst:
+        if not math.isfinite(x):
+            raise ValueError("coefficients must be finite")
+    # Trim trailing coefficients within COEFF_EPS of zero.
+    n = len(lst)
+    while n > 1 and -COEFF_EPS <= lst[n - 1] <= COEFF_EPS:
+        n -= 1
+    if n == 1 and -COEFF_EPS <= lst[0] <= COEFF_EPS:
+        lst = [0.0]
+    elif n != len(lst):
+        del lst[n:]
+    p._cl = lst
+    p._arr = None
+    p._hash = None
+    p._rc = None
+
+
+def _from_floats(lst: list) -> "Polynomial":
+    """A polynomial over ``lst``, a fresh non-empty list of Python floats.
+
+    The list is taken over, not copied.  The arithmetic operators build
+    their results through here: they are plain float lists already, so
+    the constructor's conversion pass is skipped.
+    """
+    p = object.__new__(Polynomial)
+    _init(p, lst)
+    return p
 
 
 class Polynomial:
@@ -51,47 +74,31 @@ class Polynomial:
 
     Notes
     -----
-    Instances are hashable on their trimmed coefficient tuple and therefore
-    usable as labels in piecewise functions and as dictionary keys in the
-    grouping operations.  The hash is computed eagerly at construction (it
-    keys the crossing caches on every combine) and the root candidates of
-    the instance are memoised after the first computation.
+    The coefficients live in a plain list of Python floats: the
+    polynomials here are tiny (degree <= 2k), so scalar Python beats a
+    chain of NumPy calls, and IEEE double arithmetic is bit-identical
+    either way.  The read-only ndarray view (:attr:`coeffs`) and the hash
+    are built on first use, so the many short-lived differences of the
+    envelope and steady-state code never pay for them.  Instances are
+    hashable on their rounded coefficient tuple and therefore usable as
+    labels in piecewise functions and as dictionary keys in the grouping
+    operations and crossing caches.  The root candidates of an instance
+    are memoised after the first computation.
     """
 
-    __slots__ = ("_c", "_cl", "_hash", "_rc")
+    __slots__ = ("_cl", "_arr", "_hash", "_rc")
 
     def __init__(self, coeffs: Iterable[float]):
-        # Normalise to a plain float list first: the polynomials here are
-        # tiny (degree <= 2k), so scalar Python beats a chain of NumPy
-        # calls — and float arithmetic is bit-identical either way.
         if isinstance(coeffs, np.ndarray):
-            if coeffs.ndim != 1 or coeffs.size == 0:
+            if coeffs.ndim != 1:
                 raise ValueError(
                     "coefficients must be a non-empty 1-D sequence"
                 )
-            lst = coeffs.tolist()
-        else:
-            lst = [float(x) for x in coeffs]
-            if not lst:
-                raise ValueError(
-                    "coefficients must be a non-empty 1-D sequence"
-                )
-        for x in lst:
-            if not math.isfinite(x):
-                raise ValueError("coefficients must be finite")
-        # Trim trailing near-zero coefficients (same rule as _trim).
-        n = len(lst)
-        while n > 1 and -COEFF_EPS <= lst[n - 1] <= COEFF_EPS:
-            n -= 1
-        if n == 1 and -COEFF_EPS <= lst[0] <= COEFF_EPS:
-            lst = [0.0]
-        elif n != len(lst):
-            lst = lst[:n]
-        self._cl = lst
-        self._c = np.asarray(lst)
-        self._c.setflags(write=False)
-        self._hash = hash(tuple(round(x, 9) for x in lst))
-        self._rc: list | None = None
+            coeffs = coeffs.tolist()  # far cheaper than per-item float()
+        lst = [float(x) for x in coeffs]
+        if not lst:
+            raise ValueError("coefficients must be a non-empty 1-D sequence")
+        _init(self, lst)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -99,7 +106,7 @@ class Polynomial:
     @staticmethod
     def constant(value: float) -> "Polynomial":
         """The constant polynomial ``value``."""
-        return Polynomial([float(value)])
+        return _from_floats([float(value)])
 
     @staticmethod
     def identity() -> "Polynomial":
@@ -120,38 +127,41 @@ class Polynomial:
     @property
     def coeffs(self) -> np.ndarray:
         """Read-only ascending coefficient array (trailing zeros trimmed)."""
-        return self._c
+        arr = self._arr
+        if arr is None:
+            arr = self._arr = np.array(self._cl)
+            arr.setflags(write=False)
+        return arr
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree 0."""
-        return len(self._c) - 1
+        return len(self._cl) - 1
 
     @property
     def leading(self) -> float:
         """Leading (highest-degree) coefficient."""
-        return float(self._c[-1])
+        return self._cl[-1]
 
     def is_zero(self) -> bool:
         """True when the polynomial is identically zero (within tolerance)."""
-        return self.degree == 0 and abs(self._c[0]) <= COEFF_EPS
+        cl = self._cl
+        return len(cl) == 1 and -COEFF_EPS <= cl[0] <= COEFF_EPS
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
     def __call__(self, t):
         """Evaluate via Horner's scheme.  Accepts scalars or ndarrays."""
+        cl = self._cl
         if isinstance(t, (float, int)):
-            # Scalar fast path: plain-float Horner, bit-identical to the
-            # NumPy evaluation (both are IEEE double operations).
-            cl = self._cl
             acc = cl[-1]
             for i in range(len(cl) - 2, -1, -1):
                 acc = acc * t + cl[i]
             return float(acc)
         t = np.asarray(t, dtype=float)
-        acc = np.full(t.shape, self._c[-1], dtype=float)
-        for c in self._c[-2::-1]:
+        acc = np.full(t.shape, cl[-1], dtype=float)
+        for c in cl[-2::-1]:
             acc = acc * t + c
         if acc.ndim == 0:
             return float(acc)
@@ -159,26 +169,31 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         """First derivative."""
-        if self.degree == 0:
+        cl = self._cl
+        if len(cl) == 1:
             return ZERO
-        d = self._c[1:] * np.arange(1, len(self._c))
-        return Polynomial(d)
+        return _from_floats([cl[i] * i for i in range(1, len(cl))])
 
     # ------------------------------------------------------------------
     # Ring arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other) -> "Polynomial":
         other = _coerce(other)
-        n = max(len(self._c), len(other._c))
-        a = np.zeros(n)
-        a[: len(self._c)] = self._c
-        a[: len(other._c)] += other._c
-        return Polynomial(a)
+        a, b = self._cl, other._cl
+        if len(a) < len(b):
+            out = [0.0 + y for y in b]
+            for i, x in enumerate(a):
+                out[i] = x + b[i]
+        else:
+            out = list(a)
+            for i, y in enumerate(b):
+                out[i] = out[i] + y
+        return _from_floats(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(-self._c)
+        return _from_floats([-x for x in self._cl])
 
     def __sub__(self, other) -> "Polynomial":
         other = _coerce(other)
@@ -191,14 +206,17 @@ class Polynomial:
             out = list(a)
             for i, y in enumerate(b):
                 out[i] = out[i] - y
-        return Polynomial(out)
+        return _from_floats(out)
 
     def __rsub__(self, other) -> "Polynomial":
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
+        # NumPy's convolution, not a Python double loop: its dot kernel
+        # fixes the summation order (and any fused multiply-add) that the
+        # committed results were produced with.
         other = _coerce(other)
-        return Polynomial(np.convolve(self._c, other._c))
+        return _from_floats(np.convolve(self.coeffs, other.coeffs).tolist())
 
     __rmul__ = __mul__
 
@@ -216,8 +234,9 @@ class Polynomial:
 
     def compose(self, inner: "Polynomial") -> "Polynomial":
         """Return ``self(inner(t))`` (Horner composition)."""
-        acc = Polynomial.constant(self._c[-1])
-        for c in self._c[-2::-1]:
+        cl = self._cl
+        acc = Polynomial.constant(cl[-1])
+        for c in cl[-2::-1]:
             acc = acc * inner + Polynomial.constant(c)
         return acc
 
@@ -227,18 +246,29 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if len(self._c) != len(other._c):
+        a, b = self._cl, other._cl
+        if a == b:
+            return True
+        if len(a) != len(b):
             return False
-        return bool(np.allclose(self._c, other._c, rtol=1e-9, atol=COEFF_EPS))
+        # np.allclose(a, b, rtol=1e-9, atol=COEFF_EPS), spelled out on
+        # scalars: |a - b| <= atol + rtol * |b| coefficient by coefficient.
+        for x, y in zip(a, b):
+            if not abs(x - y) <= COEFF_EPS + 1e-9 * abs(y):
+                return False
+        return True
 
     def __hash__(self) -> int:
         # Rounded so that hash is consistent with tolerance-based __eq__
         # for exactly-representable inputs (the common case in tests).
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(tuple([round(x, 9) for x in self._cl]))
+        return h
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         terms = []
-        for i, c in enumerate(self._c):
+        for i, c in enumerate(self._cl):
             if abs(c) <= COEFF_EPS and self.degree > 0:
                 continue
             if i == 0:
@@ -261,15 +291,31 @@ class Polynomial:
         """
         if self.is_zero():
             return 0
-        return 1 if self.leading > 0 else -1
+        return 1 if self._cl[-1] > 0 else -1
 
     def steady_compare(self, other: "Polynomial") -> int:
         """Compare ``self`` and ``other`` as ``t -> inf``.
 
         Returns -1 if ``self(t) < other(t)`` eventually, +1 if eventually
-        greater, 0 if the polynomials are identical.
+        greater, 0 if the polynomials are identical.  Equal to
+        ``(self - other).sign_at_infinity()``: the scan from the top finds
+        the leading coefficient :meth:`__sub__` would keep after trimming,
+        without building the difference.
         """
-        return (self - _coerce(other)).sign_at_infinity()
+        a, b = self._cl, _coerce(other)._cl
+        la, lb = len(a), len(b)
+        for i in range(max(la, lb) - 1, -1, -1):
+            if i >= la:
+                d = 0.0 - b[i]
+            elif i >= lb:
+                d = a[i]
+            else:
+                d = a[i] - b[i]
+            if d > COEFF_EPS:
+                return 1
+            if d < -COEFF_EPS:
+                return -1
+        return 0
 
     def horizon(self) -> float:
         """A time ``H >= 1`` beyond which ``self`` has no real roots.
@@ -279,7 +325,8 @@ class Polynomial:
         """
         if self.is_zero() or self.degree == 0:
             return 1.0
-        bound = 1.0 + float(np.max(np.abs(self._c[:-1]))) / abs(self.leading)
+        cl = self._cl
+        bound = 1.0 + max(abs(c) for c in cl[:-1]) / abs(cl[-1])
         return max(1.0, bound)
 
     # ------------------------------------------------------------------
@@ -304,8 +351,8 @@ class Polynomial:
         if self.degree == 0:
             return []
         if self.degree == 1:
-            r = -self._c[0] / self._c[1]
-            return [float(r)] if lo - ROOT_EPS <= r <= hi + ROOT_EPS else []
+            r = -self._cl[0] / self._cl[1]
+            return [r] if lo - ROOT_EPS <= r <= hi + ROOT_EPS else []
         return _filter_range(self._root_candidates(), lo, hi)
 
     def _root_candidates(self) -> list:
@@ -319,9 +366,9 @@ class Polynomial:
         if self._rc is not None:
             return self._rc
         if self.degree == 2:
-            roots = _quadratic_candidates(self._c[0], self._c[1], self._c[2])
+            roots = _quadratic_candidates(*self._cl)
         else:
-            comp = np.roots(self._c[::-1])
+            comp = np.roots(self.coeffs[::-1])
             roots = self._companion_candidates(comp)
         self._rc = roots
         return roots

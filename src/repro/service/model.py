@@ -420,7 +420,7 @@ def shard_of(key: tuple, n_shards: int) -> int:
 def _encode_envelope(env: Any) -> dict:
     pieces = []
     for p in env.pieces:
-        coeffs = [float(c) for c in p.fn._cl]
+        coeffs = list(p.fn._cl)
         pieces.append([float(p.lo), float(p.hi), coeffs, repr(p.label)])
     return {"pieces": pieces}
 

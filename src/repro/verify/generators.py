@@ -333,7 +333,7 @@ def make_system(kind: str, seed: int, n: int = 8, k: int = 1) -> PointSystem:
 # JSON serialization (the failure corpus format)
 # ======================================================================
 def curves_to_json(fns: list[Polynomial]) -> dict:
-    return {"type": "curves", "coeffs": [list(map(float, f._cl)) for f in fns]}
+    return {"type": "curves", "coeffs": [list(f._cl) for f in fns]}
 
 
 def curves_from_json(data: dict) -> list[Polynomial]:
@@ -346,7 +346,7 @@ def system_to_json(system: PointSystem) -> dict:
     return {
         "type": "system",
         "motions": [
-            [list(map(float, c._cl)) for c in m.coords] for m in system
+            [list(c._cl) for c in m.coords] for m in system
         ],
     }
 

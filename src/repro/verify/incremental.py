@@ -77,7 +77,7 @@ def make_update_script(seed: int, *, s: int = 2, base_lo: int = 3,
             fresh += 1
             curve = make_curves(kind, sub, n=1, s=s)[0]
             script.append({"action": "insert",
-                           "coeffs": [float(c) for c in curve._cl]})
+                           "coeffs": list(curve._cl)})
             live += 1
         else:
             pos = int(rng.integers(0, live))
@@ -89,11 +89,11 @@ def make_update_script(seed: int, *, s: int = 2, base_lo: int = 3,
                 fresh += 1
                 curve = make_curves(kind, sub, n=1, s=s)[0]
                 script.append({"action": "retarget", "pos": pos,
-                               "coeffs": [float(c) for c in curve._cl]})
+                               "coeffs": list(curve._cl)})
     return {
         "kind": kind, "seed": seed, "n": n, "s": degree,
         "op": "min" if seed % 2 == 0 else "max",
-        "base": [[float(c) for c in f._cl] for f in base],
+        "base": [list(f._cl) for f in base],
         "script": script,
     }
 

@@ -88,7 +88,7 @@ class Algorithm:
 
 
 def _poly_coeffs(poly) -> list[float]:
-    return [float(c) for c in poly._cl]
+    return list(poly._cl)
 
 
 # ----------------------------------------------------------------------

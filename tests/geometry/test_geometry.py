@@ -18,6 +18,7 @@ from repro.geometry import (
     closest_pair_parallel,
     convex_hull,
     convex_hull_parallel,
+    cross,
     diameter_pair,
     dist2,
     enclosing_rectangle,
@@ -25,6 +26,7 @@ from repro.geometry import (
     hull_contains,
     orientation,
     rectangle_corners,
+    sign_of,
 )
 from repro.machines import hypercube_machine, mesh_machine
 
@@ -55,6 +57,24 @@ class TestOrientation:
         assert orientation((0, 0), (1, 0), (0, 1)) == 1
         assert orientation((0, 0), (0, 1), (1, 0)) == -1
         assert orientation((0, 0), (1, 1), (2, 2)) == 0
+
+    @given(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+                    min_size=3, max_size=3))
+    @settings(max_examples=200)
+    def test_is_sign_of_cross(self, pts):
+        assert orientation(*pts) == sign_of(cross(*pts))
+
+    @given(st.lists(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e-11]),
+                             min_size=1, max_size=2),
+                    min_size=6, max_size=6))
+    @settings(max_examples=150)
+    def test_is_sign_of_cross_at_steady_state(self, rows):
+        from repro.core.steady import SteadyValue
+        from repro.kinetics.polynomial import Polynomial
+
+        v = [SteadyValue(Polynomial(r)) for r in rows]
+        pts = [(v[0], v[1]), (v[2], v[3]), (v[4], v[5])]
+        assert orientation(*pts) == cross(*pts).sign()
 
     def test_dist2(self):
         assert dist2((0, 0), (3, 4)) == 25

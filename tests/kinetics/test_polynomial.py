@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kinetics.polynomial import ONE, T, ZERO, Polynomial
@@ -228,3 +228,101 @@ class TestConstants:
         assert ZERO.is_zero()
         assert ONE(123.0) == 1.0
         assert T(7.0) == 7.0
+
+
+def _bits(p: Polynomial) -> list[str]:
+    return [float(c).hex() for c in p.coeffs]
+
+
+#: Offsets that land a coefficient difference on either side of COEFF_EPS.
+near_eps = st.sampled_from([0.0, 0.0, 5e-12, -5e-12, 1e-11, -1e-11,
+                            2e-11, -2e-11, 1e-3])
+
+
+class TestPlainFloatKernel:
+    """The float-list kernel against the NumPy formulas it replaced."""
+
+    @given(small_poly, small_poly)
+    @settings(max_examples=200)
+    @example(Polynomial([1.0]), Polynomial([2.0, -0.0, 3.0]))
+    def test_add_neg_bit_identical_to_numpy(self, p, q):
+        # The example: NumPy's zero-filled sum turns the -0.0 past the
+        # shorter operand into +0.0.
+        n = max(p.degree, q.degree) + 1
+        a = np.zeros(n)
+        a[: p.degree + 1] = p.coeffs
+        a[: q.degree + 1] += q.coeffs
+        assert _bits(p + q) == _bits(Polynomial(a))
+        assert _bits(-p) == _bits(Polynomial(-p.coeffs))
+
+    @given(small_poly)
+    @settings(max_examples=200)
+    def test_derivative_and_horizon_bit_identical_to_numpy(self, p):
+        c = p.coeffs
+        if p.degree == 0:
+            assert p.derivative().is_zero()
+            return
+        want = Polynomial(c[1:] * np.arange(1, len(c)))
+        assert _bits(p.derivative()) == _bits(want)
+        bound = 1.0 + float(np.max(np.abs(c[:-1]))) / abs(p.leading)
+        assert p.horizon() == max(1.0, bound)
+
+    @given(small_poly, st.lists(near_eps, min_size=1, max_size=5))
+    @settings(max_examples=300)
+    def test_steady_compare_equals_sign_of_difference(self, p, offsets):
+        cl = list(p.coeffs) + [0.0] * max(0, len(offsets) - p.degree - 1)
+        q = Polynomial([c + d for c, d in zip(cl, offsets + [0.0] * len(cl))])
+        for x, y in ((p, q), (q, p), (p, p)):
+            assert x.steady_compare(y) == (x - y).sign_at_infinity()
+
+    def test_steady_compare_scalar_operand(self):
+        p = Polynomial([2.0])
+        assert p.steady_compare(2) == 0
+        assert p.steady_compare(1.0) == 1
+        assert Polynomial([0.0, -1e-12, -1.0]).steady_compare(0.0) == -1
+
+    @given(small_poly, st.lists(near_eps, min_size=1, max_size=5))
+    @settings(max_examples=300)
+    def test_eq_matches_allclose(self, p, offsets):
+        q = Polynomial([c + d for c, d in zip(p.coeffs, offsets + [0.0] * 5)])
+        want = p.degree == q.degree and bool(
+            np.allclose(p.coeffs, q.coeffs, rtol=1e-9, atol=1e-11))
+        assert (p == q) is want
+        assert (q == p) is (p.degree == q.degree and bool(
+            np.allclose(q.coeffs, p.coeffs, rtol=1e-9, atol=1e-11)))
+
+    def test_array_and_hash_are_built_on_first_use(self):
+        p = Polynomial([1.0, 2.0, 3.0])
+        d = p - Polynomial([0.5])
+        assert d._arr is None and d._hash is None
+        arr = d.coeffs
+        assert arr is d.coeffs
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert arr.tolist() == [0.5, 2.0, 3.0]
+        h = hash(d)
+        assert d._hash == h == hash(Polynomial([0.5, 2.0, 3.0]))
+
+    def test_coefficients_are_plain_floats(self):
+        for p in (Polynomial(np.array([1, 2])), Polynomial([1, 2]),
+                  Polynomial(np.array([1.0, 2.0], dtype=np.float32))):
+            assert [type(c) for c in p._cl] == [float, float]
+            assert p.coeffs.dtype == np.float64
+        assert type(Polynomial([1.0, 2.0]).leading) is float
+        assert Polynomial([-4.0, 2.0]).real_roots() == [2.0]
+        assert all(type(r) is float
+                   for r in Polynomial.from_roots([1.0, 3.0]).real_roots())
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        p = Polynomial([1.0, -2.0, 0.5])
+        hash(p)
+        p.coeffs
+        for q in (p, Polynomial([3.0, 4.0])):
+            r = pickle.loads(pickle.dumps(q))
+            assert r == q and hash(r) == hash(q) and r._cl == q._cl
+
+    def test_overflow_still_rejected(self):
+        big = Polynomial([1e308])
+        with pytest.raises(ValueError):
+            big + big

@@ -87,6 +87,19 @@ class TestSteadyValue:
         elif a > b:
             assert a(t) >= b(t) - 1e-9 * max(1, abs(b(t)))
 
+    @given(st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-11, -2e-11, 3.5]),
+                    min_size=1, max_size=3),
+           st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e-11, -2e-11, 3.5]),
+                    min_size=1, max_size=3))
+    @settings(max_examples=150)
+    def test_compare_is_sign_of_difference(self, ca, cb):
+        a, b = SteadyValue(Polynomial(ca)), SteadyValue(Polynomial(cb))
+        c = (a - b).sign()
+        assert a.compare(b) == c
+        assert (a < b, a <= b, a > b, a >= b, a == b) == (
+            c < 0, c <= 0, c > 0, c >= 0, c == 0)
+        assert a.compare(ca[0]) == (a - ca[0]).sign()
+
 
 class TestSteadyNeighbors:
     @pytest.mark.parametrize("seed", range(5))
