@@ -58,6 +58,7 @@ from .core import (
     distance_squared_functions,
     enclosing_cube_edge_function,
     envelope,
+    envelope_on,
     envelope_serial,
     farthest_point_sequence,
     hull_membership_intervals,
@@ -141,7 +142,8 @@ __all__ = [
     # analysis
     "ScalingFit", "geometric_sizes", "polylog_fit", "power_fit", "render_table",
     # core — Section 3
-    "CurveFamily", "PolynomialFamily", "envelope", "envelope_serial",
+    "CurveFamily", "PolynomialFamily", "envelope", "envelope_on",
+    "envelope_serial",
     "combine_pairwise", "combine_pairwise_serial", "combine_map",
     "combine_map_serial", "threshold_indicator",
     # core — Section 4

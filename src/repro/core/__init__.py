@@ -19,6 +19,7 @@ from .envelope import (
     combine_pairwise,
     combine_pairwise_serial,
     envelope,
+    envelope_on,
     envelope_serial,
     threshold_indicator,
 )
@@ -43,7 +44,7 @@ __all__ = [
     "enclosing_cube_edge_function", "indicator_intervals",
     "smallest_enclosing_cube_ever",
     "combine_map", "combine_map_serial", "combine_pairwise",
-    "combine_pairwise_serial", "envelope", "envelope_serial",
+    "combine_pairwise_serial", "envelope", "envelope_on", "envelope_serial",
     "threshold_indicator",
     "CurveFamily", "PolynomialFamily",
     "AngleCurve", "AngleFamily", "all_hull_membership_intervals",

@@ -11,6 +11,8 @@ Two independent implementations are provided:
   parallel time exhibits the Theta-bounds of Lemma 3.1 and Theorem 3.2
   (``Theta(sqrt(m))`` per combine on the mesh, ``Theta(log m)`` on the
   hypercube; ``Theta(lambda^{1/2})`` / ``Theta(log^2 n)`` overall).
+  :func:`envelope_on` costs one combine tree on several machines: the
+  pieces depend on the curves alone, the machine only on the charges.
 
 Both support *partial* functions (pieces with gaps) as required by
 Lemma 3.3 / Theorem 3.4, both support ``op`` in {"min", "max"}, and the same
@@ -60,6 +62,7 @@ from .family import CurveFamily
 
 __all__ = [
     "envelope",
+    "envelope_on",
     "envelope_serial",
     "combine_pairwise",
     "combine_pairwise_serial",
@@ -225,10 +228,11 @@ def _records_of(F: PiecewiseFunction, half: int):
 
 
 #: When True (default) combine_pairwise computes the data transformations
-#: host-side over the real records only, while issuing the exact same
-#: simulated charge sequence as the array machinery.  Outputs and metrics
-#: are identical either way (tests assert this); the flag exists so tests
-#: and debugging can force the reference array path.
+#: host-side over the real records only (:func:`_combine_geometry`), then
+#: replays the exact simulated charge sequence of the array machinery
+#: (:func:`_combine_charges`).  Outputs and metrics are identical either
+#: way (tests assert this); the flag exists so tests and debugging can
+#: force the reference array path.
 _FAST_COMBINE = True
 
 
@@ -238,6 +242,17 @@ def set_fast_combine(enabled: bool) -> bool:
     prev = _FAST_COMBINE
     _FAST_COMBINE = bool(enabled)
     return prev
+
+
+def _empty_operand(F: PiecewiseFunction, G: PiecewiseFunction,
+                   select: bool) -> PiecewiseFunction | None:
+    """``op(F, G)`` when an operand has no pieces (no charges), else None."""
+    if F.pieces and G.pieces:
+        return None
+    if not select:
+        return PiecewiseFunction.empty()
+    return PiecewiseFunction(list((F if F.pieces else G).pieces),
+                             validate=False)
 
 
 def combine_pairwise(machine: Machine, F: PiecewiseFunction,
@@ -252,18 +267,25 @@ def combine_pairwise(machine: Machine, F: PiecewiseFunction,
     common domain).
     """
     _check_op(op)
+    if not _FAST_COMBINE:
+        return _combine_pairwise_array(machine, F, G, family, op)
+    with machine.metrics.host_time("cross"):
+        out, shape = _combine_geometry(F, G, family, op)
+    if shape is not None:
+        machine.replay(_combine_charges, family.s, *shape)
+    return out
+
+
+def _combine_pairwise_array(machine: Machine, F: PiecewiseFunction,
+                            G: PiecewiseFunction, family: CurveFamily,
+                            op: str) -> PiecewiseFunction:
+    """The reference array implementation of Lemma 3.1 (the oracle)."""
     select = op in _SELECT_OPS
-    if not F.pieces:
-        return PiecewiseFunction(list(G.pieces), validate=False) if select \
-            else PiecewiseFunction.empty()
-    if not G.pieces:
-        return PiecewiseFunction(list(F.pieces), validate=False) if select \
-            else PiecewiseFunction.empty()
+    out = _empty_operand(F, G, select)
+    if out is not None:
+        return out
     half = next_pow2(2 * max(len(F.pieces), len(G.pieces)))
     L = 2 * half
-    if _FAST_COMBINE:
-        return _combine_pairwise_fast(machine, F, G, family, op, select,
-                                      half, L)
 
     # Step 1: record creation (local) and layout (monotone route).
     endF, tieF, kindF, pieceF = _records_of(F, half)
@@ -385,25 +407,27 @@ def _prefetch_gap_pairs(end, nxt, active_f, active_g,
         family.prefetch_crossings(pairs)
 
 
-def _combine_pairwise_fast(machine: Machine, F: PiecewiseFunction,
-                           G: PiecewiseFunction, family: CurveFamily,
-                           op: str, select: bool, half: int,
-                           L: int) -> PiecewiseFunction:
-    """Host-side evaluation of Lemma 3.1 with machinery-identical charges.
+def _combine_geometry(F: PiecewiseFunction, G: PiecewiseFunction,
+                      family: CurveFamily, op: str):
+    """The machine-free geometry step of Lemma 3.1: ``(op(F, G), shape)``.
 
-    The array implementation iterates full power-of-two strings of slots;
-    for the small piece counts a combine typically sees, the per-slot NumPy
-    machinery dominates wall-clock.  This path walks only the real records
-    in plain Python and issues the *exact* charge sequence the array path
-    would (every charge is a deterministic function of ``L``, ``s``, and
-    the subpiece counts), so simulated time, rounds, and phase attribution
-    are bit-identical — as is the output: any (endpoint, tie)-sorted merge
-    order yields the same pieces, because tied records always come from
+    Walks only the real records in plain Python, where the array
+    implementation iterates full power-of-two strings of slots.  The
+    output is the array path's: any (endpoint, tie)-sorted merge order
+    yields the same pieces, because tied records always come from
     different sources (F vs G) and the gap between them is degenerate.
+
+    The pieces depend on the curves alone; the machine decides only the
+    charges, and those are a function of ``shape = (L, half, P, max_per,
+    empty)`` (see :func:`_combine_charges`).  ``shape`` is ``None`` when
+    an operand is empty, which charges nothing.
     """
-    # Step 1: record creation (local) and layout (monotone route).
-    machine.local(L)
-    machine.monotone_route(L)
+    select = op in _SELECT_OPS
+    out = _empty_operand(F, G, select)
+    if out is not None:
+        return out, None
+    half = next_pow2(2 * max(len(F.pieces), len(G.pieces)))
+    L = 2 * half
 
     # Step 2: merge records by (endpoint, tie); Right (0) before Left (1).
     recs = []
@@ -412,21 +436,12 @@ def _combine_pairwise_fast(machine: Machine, F: PiecewiseFunction,
             recs.append((p.lo, 1, p, src))
             recs.append((p.hi, 0, p, src))
     recs.sort(key=_rec_key)
-    with machine.phase("merge"):
-        machine.long_shift(L, half)
-        machine.exchange_sweep(L, tuple(range(half.bit_length() - 1, -1, -1)))
 
-    # Step 3: active-piece states (two fill_forward sweeps in the array
-    # path; here a single walk below tracks them directly).
-    with machine.phase("scan"):
-        machine.doubling_sweep(L)
-        machine.doubling_sweep(L)
-
-    # Step 4: per-gap subpiece construction.  The padding slots of the
-    # array layout all carry endpoint +inf and produce no subpieces, so
-    # only the real records' gaps matter; the gap after the last real
-    # record reaches the first padding endpoint, i.e. +inf.
-    machine.exchange(L, 0)
+    # Steps 3-4: the active pieces on each gap, tracked in one walk.  The
+    # padding slots of the array layout all carry endpoint +inf and
+    # produce no subpieces, so only the real records' gaps matter; the
+    # gap after the last real record reaches the first padding endpoint,
+    # i.e. +inf.
     n_rec = len(recs)
     gaps = []
     cur_f = cur_g = None
@@ -451,36 +466,59 @@ def _combine_pairwise_fast(machine: Machine, F: PiecewiseFunction,
                 pairs[(pf.fn, pg.fn)] = None
         if pairs:
             family.prefetch_crossings(pairs)
-    with machine.phase("cross"):
-        subs = [
-            _gap_subpieces(lo, hi, pf, pg, family, op)
-            for lo, hi, pf, pg in gaps
-        ]
-        machine.local(L, count=family.s + 1)
+    subs = [_gap_subpieces(lo, hi, pf, pg, family, op)
+            for lo, hi, pf, pg in gaps]
 
-    # Step 6: flatten (unpack_lists charges), fuse + pack.
+    # Step 6: flatten, fuse + pack.
     flat = [piece for sub in subs for piece in sub]
     total = len(flat)
-    max_per = max(map(len, subs), default=0)
-    P = next_pow2(total)
-    with machine.phase("pack"):
-        machine.local(L)
-        machine.doubling_sweep(L)
-        for _ in range(max_per):
-            machine.monotone_route(P)
+    shape = (L, half, next_pow2(total), max(map(len, subs), default=0),
+             total == 0)
     if total == 0:
-        return PiecewiseFunction.empty()
-    with machine.phase("fuse"):
-        machine.exchange(P, 0)
-        machine.local(P)
-        machine.doubling_sweep(P)  # parallel_prefix over start marks
-        machine.exchange(P, 0)
-        machine.doubling_sweep(P)  # fill_backward of run ends
-        machine.doubling_sweep(P)  # pack: prefix of the start mask
-        machine.local(P)           # pack: destination computation
-        machine.monotone_route(P)  # pack: the route itself
-        pieces = _fuse_host(flat, family)
-    return PiecewiseFunction(pieces, validate=False)
+        return PiecewiseFunction.empty(), shape
+    return PiecewiseFunction(_fuse_host(flat, family), validate=False), shape
+
+
+def _combine_charges(m: Machine, s: int, L: int, half: int, P: int,
+                     max_per: int, empty: bool):
+    """The charge sequence of one Lemma 3.1 combine, phase by phase.
+
+    The single place it is written down: a generator for
+    :meth:`Machine.replay`, yielding each phase label before that
+    phase's charges (``None``: unattributed).  It issues exactly what
+    the array path charges through ``bitonic_merge``, ``fill_forward``,
+    ``unpack_lists``, ``parallel_prefix``, ``fill_backward`` and
+    ``pack``; every charge depends only on the topology, ``s`` and the
+    combine's ``shape`` (see :func:`_combine_geometry`).
+    """
+    m.local(L)                  # Step 1: record creation
+    m.monotone_route(L)         # ... and layout
+    yield "merge"               # Step 2: bitonic merge of the two runs
+    m.long_shift(L, half)
+    m.exchange_sweep(L, tuple(range(half.bit_length() - 1, -1, -1)))
+    yield "scan"                # Step 3: two fill_forward sweeps
+    m.doubling_sweep(L)
+    m.doubling_sweep(L)
+    yield None
+    m.exchange(L, 0)            # Step 4: each record reads the next endpoint
+    yield "cross"
+    m.local(L, count=s + 1)     # ... and solves its gap
+    yield "pack"                # Step 6: unpack_lists
+    m.local(L)
+    m.doubling_sweep(L)
+    for _ in range(max_per):
+        m.monotone_route(P)
+    if empty:
+        return
+    yield "fuse"
+    m.exchange(P, 0)            # start marks: neighbour comparison
+    m.local(P)
+    m.doubling_sweep(P)         # parallel_prefix over start marks
+    m.exchange(P, 0)
+    m.doubling_sweep(P)         # fill_backward of run ends
+    m.doubling_sweep(P)         # pack: prefix of the start mask
+    m.local(P)                  # pack: destination computation
+    m.monotone_route(P)         # pack: the route itself
 
 
 def _rec_key(rec):
@@ -563,12 +601,85 @@ def envelope(machine: Machine, fns: Sequence, family: CurveFamily, *,
     accepted, implementing Theorem 3.4.  The result's pieces are ordered by
     their intervals, as the paper requires.
     """
+    return envelope_on((machine,), fns, family, op=op, labels=labels)
+
+
+def envelope_on(machines: Iterable[Machine], fns: Sequence,
+                family: CurveFamily, *, op: str = "min",
+                labels=None) -> PiecewiseFunction:
+    """:func:`envelope` on several machines, sharing one combine tree.
+
+    The envelope's pieces depend on the curves alone; a machine decides
+    only the charges.  So the Theorem 3.2 combine tree is built once,
+    recording each combine's shape, and every machine is then charged by
+    replaying those shapes through its own sub-machines, in the order a
+    solo :func:`envelope` run charges them.  Each machine's metrics (and,
+    under a tracer, its ``envelope`` span tree) equal a solo run's.  Host
+    time of the shared geometry is attributed to the first machine, under
+    ``cross``.
+
+    With the fast combine off (``set_fast_combine(False)``) every machine
+    runs every combine through the reference array path instead.
+    """
+    machines = tuple(machines)
+    if not machines:
+        raise OperationContractError("envelope_on needs at least one machine")
     level = normalize_inputs(fns, labels)
     if not level:
         return PiecewiseFunction.empty()
+    if not _FAST_COMBINE:
+        for machine in machines:
+            out = _envelope_array(machine, level, family, op)
+        return out
+    with machines[0].metrics.host_time("cross"):
+        out, tree = _envelope_geometry(level, family, op)
+    for machine in machines:
+        with trace_span("envelope", machine.metrics, category="driver",
+                        n=len(level), op=op):
+            # Step 1 of Theorem 3.2: distribute the descriptions (a route).
+            machine.monotone_route(next_pow2(len(level)))
+            for combines in tree:
+                branch_metrics = []
+                for length, shape in combines:
+                    sub = _substring_machine(machine, length)
+                    if shape is not None:
+                        sub.replay(_combine_charges, family.s, *shape)
+                    branch_metrics.append(sub.metrics)
+                _absorb_parallel(machine, branch_metrics)
+    return out
+
+
+def _envelope_geometry(level: list[PiecewiseFunction], family: CurveFamily,
+                       op: str):
+    """The Theorem 3.2 combine tree, machine-free: ``(envelope, tree)``.
+
+    ``tree`` lists each level's combines as ``(sub-machine length,
+    shape)`` pairs, in the order :func:`envelope_on` charges them.
+    """
+    if len(level) > 1:
+        _check_op(op)
+    tree = []
+    while len(level) > 1:
+        nxt = []
+        combines = []
+        for i in range(0, len(level) - 1, 2):
+            F, G = level[i], level[i + 1]
+            out, shape = _combine_geometry(F, G, family, op)
+            nxt.append(out)
+            combines.append(
+                (4 * max(1, len(F.pieces), len(G.pieces)), shape))
+        if len(level) % 2:
+            nxt.append(level[-1])
+        tree.append(combines)
+        level = nxt
+    return level[0], tree
+
+
+def _envelope_array(machine: Machine, level: list[PiecewiseFunction],
+                    family: CurveFamily, op: str) -> PiecewiseFunction:
+    """Theorem 3.2 on one machine through the reference array combine."""
     with trace_span("envelope", machine.metrics, category="driver",
                     n=len(level), op=op):
-        # Step 1 of Theorem 3.2: distribute the descriptions (a route).
         machine.monotone_route(next_pow2(len(level)))
         while len(level) > 1:
             nxt = []

@@ -15,12 +15,14 @@ back into the machine to charge simulated parallel time:
   (used for the reversal step of bitonic merging).
 
 The asymptotics of every Table 1 operation emerge from these four charges.
+:meth:`Machine.replay` charges a fixed sequence of them (one envelope
+combine) from a memoised per-phase schedule.
 """
 
 from __future__ import annotations
 
 from contextlib import AbstractContextManager
-from typing import TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from ..trace.registry import register_gauge
 from .metrics import Metrics
@@ -62,6 +64,9 @@ register_gauge("charge_cache.doubling_bits", lambda: len(_DOUBLING_BITS))
 
 
 _T = TypeVar("_T")
+
+#: End-of-generator sentinel for :meth:`Machine._record`.
+_END = object()
 
 
 def _charge_cache_put(key: tuple, value: _T) -> _T:
@@ -115,6 +120,46 @@ class Machine:
 
     def reset(self) -> None:
         self.metrics.reset()
+
+    def replay(self, charges: Callable[..., Iterator[str | None]],
+               *params) -> None:
+        """Charge the sequence ``charges(machine, *params)`` describes,
+        from a memoised schedule.
+
+        ``charges`` is a generator function that makes ordinary charge
+        calls on the machine it is given and yields a phase label (or
+        ``None`` for unattributed charges) before each phase's calls.
+        Its charge sequence is a pure function of the topology and
+        ``params``, so it runs once per ``(charges, topology, params)``:
+        the per-phase totals are recorded into the bounded
+        ``_CHARGE_CACHE`` and every later call adds them with
+        :meth:`Metrics.replay <repro.machines.metrics.Metrics.replay>`.
+        """
+        key = (charges, self._sig, params)
+        schedule = _CHARGE_CACHE.get(key)
+        if schedule is None:
+            schedule = _charge_cache_put(key, self._record(charges(self, *params)))
+        self.metrics.replay(schedule)
+
+    def _record(self, steps: Iterator[str | None]) -> tuple:
+        """Run a charge generator against one scratch accumulator per
+        phase segment; returns the segments' aggregated charges."""
+        saved = self.metrics
+        segments = []
+        label = None
+        try:
+            while True:
+                self.metrics = seg = Metrics()
+                nxt = next(steps, _END)
+                if label is not None or seg.rounds:
+                    segments.append((label, seg.time, seg.rounds,
+                                     seg.comm_time, seg.comm_rounds,
+                                     seg.local_rounds))
+                if nxt is _END:
+                    return tuple(segments)
+                label = nxt
+        finally:
+            self.metrics = saved
 
     # ------------------------------------------------------------------
     # Cost charges

@@ -162,6 +162,61 @@ class Metrics:
             if span is not None:
                 hook.end_phase(span)
 
+    @contextmanager
+    def host_time(self, label: str) -> Iterator[None]:
+        """Attribute the block's host seconds to ``wall_phases[label]``.
+
+        Wall-clock only: unlike :meth:`phase` it records no simulated
+        charge, opens no trace span and pushes nothing on the phase
+        stack.  It times machine-free host work (the envelope's geometry
+        step) for layers that may not read a clock themselves.  Nested
+        inside a phase, the seconds leave that phase's self time, exactly
+        as a nested :meth:`phase` would.
+        """
+        start = perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = perf_counter() - start
+            self.wall_phases[label] += elapsed
+            _GLOBAL_WALL_PHASES[label] += elapsed
+            if self._phase_stack:
+                self._phase_stack[-1][1] += elapsed
+            else:
+                self.wall_time += elapsed
+
+    def replay(self, schedule: tuple) -> None:
+        """Add a recorded charge schedule (``Machine.replay``).
+
+        ``schedule`` is a tuple of ``(label, time, rounds, comm_time,
+        comm_rounds, local_rounds)`` segments, each the aggregated charges
+        of one phase (``label``) or of an unlabelled stretch (``None``,
+        attributed like a charge made here: to the innermost open phase).
+        The result equals making the original charge calls inside the
+        same ``phase`` blocks: link distances are integer-valued, so the
+        aggregated sums are bit-identical.  Only when a trace hook is
+        installed are the labelled segments' phase spans opened and
+        closed, so traced runs record the same span tree.
+        """
+        hook = _TRACE_HOOK
+        stack = self._phase_stack
+        for label, time, rounds, comm_time, comm_rounds, local_rounds \
+                in schedule:
+            span = (hook.begin_phase(label, self)
+                    if hook is not None and label is not None else None)
+            if rounds:
+                self.time += time
+                self.rounds += rounds
+                self.comm_time += comm_time
+                self.comm_rounds += comm_rounds
+                self.local_rounds += local_rounds
+                if label is None and stack:
+                    label = stack[-1][0]
+                if label is not None:
+                    self.phases[label] += time
+            if span is not None:
+                hook.end_phase(span)
+
     # ------------------------------------------------------------------
     # Absorbing sub-machine accumulators
     # ------------------------------------------------------------------

@@ -29,7 +29,7 @@ from . import (
 )
 
 __all__ = ["EXPERIMENTS", "run", "run_all", "run_captured",
-           "run_captured_traced"]
+           "run_captured_traced", "run_counted"]
 
 #: Registry of experiment name -> module.
 EXPERIMENTS = {
@@ -91,3 +91,29 @@ def run_captured_traced(name: str) -> tuple[str, list[dict]]:
         with tracer.span(name, category="experiment"):
             run(name, out=lines.append)
     return "\n".join(lines), tracer.to_dicts()
+
+
+def run_counted(worker: Callable[[str], object],
+                name: str) -> tuple[object, dict, dict]:
+    """``worker(name)`` plus the host counters that run added.
+
+    Returns ``(result, counters, wall_phases)``: the increments of every
+    registry counter and the per-phase wall seconds the run added.  The
+    worker wrapper of ``python -m repro.report``: with ``--jobs N`` the
+    experiments count in worker processes, so each returns its own
+    deltas for the parent to sum for ``-v`` (``functools.partial(
+    run_counted, run_captured)`` pickles like the bare worker).
+    """
+    from ..machines.metrics import global_wall_phases
+    from ..trace.registry import REGISTRY
+
+    counters0 = REGISTRY.counter_values()
+    wall0 = global_wall_phases()
+    result = worker(name)
+    return result, _increments(counters0, REGISTRY.counter_values()), \
+        _increments(wall0, global_wall_phases())
+
+
+def _increments(before: dict, after: dict) -> dict:
+    return {k: v - before.get(k, 0) for k, v in after.items()
+            if v != before.get(k, 0)}

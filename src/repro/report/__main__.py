@@ -12,24 +12,30 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
-from . import EXPERIMENTS, run_captured, run_captured_traced
+from . import EXPERIMENTS, run_captured, run_captured_traced, run_counted
 
 
-def _diagnostics() -> None:
+def _diagnostics(counters: dict, wall_phases: dict) -> None:
     """Host-side counters: the unified registry table plus wall-clock.
 
     Diagnostics only — these describe how fast the *simulator* ran, not the
     simulated-time numbers in the tables, which are independent of caching.
     Every cache (crossing, movement plans, charge memos) reports through
-    the one shared :data:`repro.trace.registry.REGISTRY`.
+    the one shared :data:`repro.trace.registry.REGISTRY`; ``counters`` and
+    ``wall_phases`` are what the experiment runs added, summed over
+    worker processes, so ``--jobs N`` reports what the workers counted.
     """
-    from ..machines.metrics import global_wall_phases
     from ..trace.registry import REGISTRY
 
     print()
-    print(REGISTRY.render_table())
-    phases = sorted(global_wall_phases().items(), key=lambda kv: -kv[1])
+    print(REGISTRY.render_table({
+        **REGISTRY.snapshot(),
+        **dict.fromkeys(REGISTRY.counter_values(), 0),
+        **counters,
+    }))
+    phases = sorted(wall_phases.items(), key=lambda kv: -kv[1])
     if phases:
         print("wall-clock by phase: "
               + ", ".join(f"{k}={v:.3f}s" for k, v in phases))
@@ -78,19 +84,28 @@ def main(argv=None) -> int:
         return 2
     from ..parallel import parallel_map
 
+    worker = run_captured_traced if args.trace else run_captured
+    results = []
+    counters: dict = {}
+    wall_phases: dict = {}
+    for result, added, wall in parallel_map(
+            partial(run_counted, worker), names, jobs=args.jobs,
+            chunk_size=1):
+        results.append(result)
+        for total, part in ((counters, added), (wall_phases, wall)):
+            for k, v in part.items():
+                total[k] = total.get(k, 0) + v
     if args.trace:
         spans: list[dict] = []
-        for text, forest in parallel_map(run_captured_traced, names,
-                                         jobs=args.jobs, chunk_size=1):
+        for text, forest in results:
             print(text)
             spans.extend(forest)
         _export_report_trace(args, names, spans)
     else:
-        for text in parallel_map(run_captured, names, jobs=args.jobs,
-                                 chunk_size=1):
+        for text in results:
             print(text)
     if args.verbose:
-        _diagnostics()
+        _diagnostics(counters, wall_phases)
     return 0
 
 

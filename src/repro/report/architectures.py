@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import geometric_sizes, polylog_fit, power_fit
-from ..core.envelope import envelope
+from ..core.envelope import envelope_on
 from ..core.family import PolynomialFamily
 from ..kinetics.polynomial import Polynomial
 from ..machines.machine import (
@@ -46,27 +46,23 @@ def _curves(n: int, seed: int = 0) -> list[Polynomial]:
 
 
 def rows() -> list[list]:
+    # One combine tree per size, costed on every network at once.
+    times: dict[str, list[float]] = {name: [] for name in NETWORKS}
+    for n in SIZES:
+        machines = {name: mk(n) for name, mk in NETWORKS.items()}
+        envelope_on(machines.values(), _curves(n), FAMILY)
+        for name, machine in machines.items():
+            times[name].append(machine.metrics.time)
+    cube = times["hypercube"][-1]
     out = []
-    cube_times = None
-    for name, mk in NETWORKS.items():
-        times = []
-        for n in SIZES:
-            machine = mk(n)
-            envelope(machine, _curves(n), FAMILY)
-            times.append(machine.metrics.time)
-        if name == "hypercube":
-            cube_times = times
-        fit = (power_fit(SIZES, times).describe() if name == "mesh"
-               else f"(log n)^{polylog_fit(SIZES, times):.2f}")
-        out.append([name, f"{times[-1]:.0f}", fit])
-    # Constant-slowdown column relative to the hypercube.
-    for row, (name, mk) in zip(out, NETWORKS.items()):
-        if name in ("cube-connected cycles", "shuffle-exchange"):
-            machine = mk(SIZES[-1])
-            envelope(machine, _curves(SIZES[-1]), FAMILY)
-            row.append(f"{machine.metrics.time / cube_times[-1]:.2f}x cube")
-        else:
-            row.append("-")
+    for name, t in times.items():
+        fit = (power_fit(SIZES, t).describe() if name == "mesh"
+               else f"(log n)^{polylog_fit(SIZES, t):.2f}")
+        # Constant-slowdown column relative to the hypercube.
+        slowdown = (f"{t[-1] / cube:.2f}x cube"
+                    if name in ("cube-connected cycles", "shuffle-exchange")
+                    else "-")
+        out.append([name, f"{t[-1]:.0f}", fit, slowdown])
     return out
 
 

@@ -118,6 +118,11 @@ class MetricsRegistry:
             out[name] = cell.summary()
         return dict(sorted(out.items()))
 
+    def counter_values(self) -> dict:
+        """Every counter's current value (no gauges or histograms): the
+        part of the registry a worker's increments can be summed from."""
+        return {name: cell.value for name, cell in self._counters.items()}
+
     def reset(self) -> None:
         """Zero every counter and histogram (gauges are read-only views)."""
         for cell in self._counters.values():
@@ -126,13 +131,16 @@ class MetricsRegistry:
             cell.clear()
 
     # ------------------------------------------------------------------
-    def render_table(self) -> str:
+    def render_table(self, snap: dict | None = None) -> str:
         """The one coherent ``--verbose`` cache/counter table.
 
         Counters are grouped by their dotted prefix; derived hit rates are
         appended for any group exposing both ``hits`` and ``misses``.
+        ``snap`` (default: this registry's :meth:`snapshot`) lets a
+        parent render values merged from worker processes.
         """
-        snap = self.snapshot()
+        if snap is None:
+            snap = self.snapshot()
         groups: dict[str, dict[str, object]] = {}
         for name, value in snap.items():
             prefix, _, leaf = name.rpartition(".")

@@ -1,5 +1,7 @@
 """Tests for the repro.report harness and its CLI."""
 
+import re
+
 import pytest
 
 from repro.report import EXPERIMENTS, run, run_all
@@ -89,3 +91,16 @@ class TestCLI:
         assert cli_main(["ablations"]) == 0
         out = capsys.readouterr().out
         assert "Ablation" in out and "===" in out
+
+    def test_verbose_with_jobs_reports_worker_counters(self, capsys):
+        # The experiments run in two worker processes; the parent's own
+        # registry stays idle, so the table must come from the workers.
+        # Earlier tests may have warmed the experiment's curve family,
+        # which forked workers would inherit: start it cold.
+        ablations.FAMILY.cache_clear()
+        assert cli_main(["-v", "-j", "2", "ablations", "validation"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [ln for ln in out.splitlines()
+                   if ln.strip().startswith("crossing_cache ")]
+        assert int(re.search(r"misses=(\d+)", line).group(1)) > 0
+        assert re.search(r"^wall-clock by phase: .*cross=", out, re.M)
