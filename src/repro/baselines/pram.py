@@ -32,8 +32,9 @@ import numpy as np
 
 from ..core.envelope import envelope
 from ..core.family import CurveFamily
+from ..errors import OperationContractError
 from ..kinetics.piecewise import PiecewiseFunction
-from ..machines.machine import Machine, pram_machine
+from ..machines.machine import Machine, MachineGroup, pram_machine
 from ..ops import concurrent_read, concurrent_write
 from ..ops._common import next_pow2
 
@@ -67,8 +68,13 @@ def crcw_round_cost(machine: Machine, n: int) -> float:
 
     This is the per-step price of direct PRAM simulation on the host:
     ``Theta(sqrt(n))`` for the mesh, ``Theta(log^2 n)`` for the bitonic
-    hypercube — exactly the figures quoted in Section 6.
+    hypercube — exactly the figures quoted in Section 6.  A
+    :class:`~repro.machines.machine.MachineGroup` has no single total and
+    raises :class:`~repro.errors.OperationContractError`.
     """
+    if isinstance(machine, MachineGroup):
+        raise OperationContractError(
+            "crcw_round_cost reads one machine's total; call it per member")
     before = machine.metrics.time
     keys = np.arange(n)
     vals = np.arange(n).astype(object)

@@ -39,7 +39,7 @@ import numpy as np
 
 from ..errors import OperationContractError
 from ..kinetics.piecewise import INF, Piece, PiecewiseFunction
-from ..machines.machine import Machine
+from ..machines.machine import Machine, MachineGroup
 from ..machines.topology import (
     CCCTopology,
     HypercubeTopology,
@@ -586,8 +586,9 @@ def _fuse_on_machine(machine: Machine, flat: np.ndarray, total: int,
     return pieces
 
 
-def envelope(machine: Machine, fns: Sequence, family: CurveFamily, *,
-             op: str = "min", labels=None) -> PiecewiseFunction:
+def envelope(machine: Machine | MachineGroup, fns: Sequence,
+             family: CurveFamily, *, op: str = "min",
+             labels=None) -> PiecewiseFunction:
     """Theorem 3.2 / 3.4: the envelope of ``n`` curves on the machine.
 
     Functions are split evenly, halves recurse (running on disjoint strings
@@ -599,9 +600,13 @@ def envelope(machine: Machine, fns: Sequence, family: CurveFamily, *,
 
     Partial functions (:class:`PiecewiseFunction` inputs with gaps) are
     accepted, implementing Theorem 3.4.  The result's pieces are ordered by
-    their intervals, as the paper requires.
+    their intervals, as the paper requires.  On a
+    :class:`~repro.machines.machine.MachineGroup` this is
+    :func:`envelope_on` over its members.
     """
-    return envelope_on((machine,), fns, family, op=op, labels=labels)
+    machines = (machine.members if isinstance(machine, MachineGroup)
+                else (machine,))
+    return envelope_on(machines, fns, family, op=op, labels=labels)
 
 
 def envelope_on(machines: Iterable[Machine], fns: Sequence,

@@ -337,7 +337,10 @@ def all_hull_membership_intervals(machine: Machine | None,
     level cost is the maximum over queries (the same parallel-composition
     rule as Theorem 3.2).  Returns ``intervals[q]`` for each query ``q``;
     at any time ``t`` the set ``{q : t in intervals[q]}`` is exactly the
-    vertex set of ``hull(S(t))``.
+    vertex set of ``hull(S(t))``.  The instances run on fresh machines of
+    ``machine``'s topology, so a
+    :class:`~repro.machines.machine.MachineGroup` (which has none) raises
+    :class:`~repro.errors.OperationContractError`.
     """
     with trace_span("all_hull_membership",
                     None if machine is None else machine.metrics,

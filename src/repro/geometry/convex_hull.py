@@ -84,7 +84,8 @@ def _between(a, b, q) -> bool:
 def convex_hull_parallel(machine: Machine, points) -> list[int]:
     """Miller–Stout style parallel hull with full cost accounting.
 
-    Pipeline: one global sort by (x, y); then ``log n`` merge levels.  At
+    Pipeline: one global sort by (x, y, index); then ``log n`` merge
+    levels.  At
     each level, sibling groups (disjoint strings of the machine) combine
     their sub-hulls: a broadcast of the partition boundary, a merge of the
     two x-sorted vertex runs, the common-tangent computation (a semigroup +
@@ -97,15 +98,17 @@ def convex_hull_parallel(machine: Machine, points) -> list[int]:
     n = len(pts)
     length = next_pow2(n)
 
-    # Global sort by (x, y): object keys support SteadyValue coordinates.
+    # Global sort by (x, y, index): object keys support SteadyValue
+    # coordinates.  The index makes the key total, so duplicate points and
+    # padding slots land in one order on every sorting substrate (the
+    # bitonic network is not stable).
     xs = np.empty(length, dtype=object)
     ys = np.empty(length, dtype=object)
-    idx = np.arange(length)
     for i in range(length):
         p = pts[min(i, n - 1)]
         xs[i], ys[i] = p[0], p[1]
     with machine.phase("sort"):
-        _, (order,) = bitonic_sort(machine, [xs, ys], [idx])
+        (_, _, order), _ = bitonic_sort(machine, [xs, ys, np.arange(length)])
     order = [int(i) for i in order if i < n]
 
     # Merge levels: groups of size g combine pairwise.

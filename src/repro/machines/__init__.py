@@ -15,6 +15,7 @@ from .indexing import (
 )
 from .machine import (
     Machine,
+    MachineGroup,
     ccc_machine,
     hypercube_machine,
     mesh_machine,
@@ -55,8 +56,9 @@ __all__ = [
     "gray_code_inverse", "is_recursively_decomposable",
     "max_consecutive_distance", "proximity", "row_major",
     "shuffled_row_major", "snake_like",
-    "Machine", "ccc_machine", "hypercube_machine", "mesh_machine",
-    "pram_machine", "serial_machine", "shuffle_exchange_machine", "Metrics",
+    "Machine", "MachineGroup", "ccc_machine", "hypercube_machine",
+    "mesh_machine", "pram_machine", "serial_machine",
+    "shuffle_exchange_machine", "Metrics",
     "clear_caches", "clear_machine_caches",
     "CCCTopology", "HypercubeTopology", "MeshTopology", "PRAMTopology",
     "SerialTopology", "ShuffleExchangeTopology", "Topology",

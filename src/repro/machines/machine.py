@@ -17,13 +17,19 @@ back into the machine to charge simulated parallel time:
 The asymptotics of every Table 1 operation emerge from these four charges.
 :meth:`Machine.replay` charges a fixed sequence of them (one envelope
 combine) from a memoised per-phase schedule.
+
+A :class:`MachineGroup` costs one run on several machines at once: the
+machine decides only the charges, never the answer, so an entry point
+given a group computes its result once while every charge call and phase
+fans out to each member.
 """
 
 from __future__ import annotations
 
-from contextlib import AbstractContextManager
-from typing import Callable, Iterator, TypeVar
+from contextlib import AbstractContextManager, ExitStack, contextmanager
+from typing import Callable, Iterable, Iterator, TypeVar
 
+from ..errors import OperationContractError
 from ..trace.registry import register_gauge
 from .metrics import Metrics
 from .topology import (
@@ -36,8 +42,9 @@ from .topology import (
     Topology,
 )
 
-__all__ = ["Machine", "mesh_machine", "hypercube_machine", "ccc_machine",
-           "shuffle_exchange_machine", "pram_machine", "serial_machine"]
+__all__ = ["Machine", "MachineGroup", "mesh_machine", "hypercube_machine",
+           "ccc_machine", "shuffle_exchange_machine", "pram_machine",
+           "serial_machine"]
 
 
 #: Charge parameters are pure functions of (topology kind, size, scheme,
@@ -277,6 +284,87 @@ class Machine:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Machine({self.topology!r}, time={self.metrics.time:g})"
+
+
+class MachineGroup:
+    """Several machines costed by one run.
+
+    Pass a group wherever an entry point takes a machine only to charge
+    it: the answer is computed once, and every charge call and every
+    :meth:`phase` goes to each member in member order, so each member's
+    metrics equal a solo run's.  Two entry points handle a group
+    themselves: ``envelope`` hands the members to ``envelope_on`` (one
+    combine tree, costed per member), and ``bitonic_sort`` charges each
+    ``randomized`` member its own Valiant-routed rounds.
+
+    A group is not a :class:`Machine` and owns no :class:`Metrics`.
+    :attr:`metrics` is the lead (first) member's accumulator, used only
+    for host time and driver spans; read each member's charges from the
+    member.  Entry points that build machines from a topology or read a
+    single machine's totals raise :class:`OperationContractError` on a
+    group.
+    """
+
+    def __init__(self, machines: Iterable[Machine]) -> None:
+        self.members = tuple(machines)
+        if not self.members:
+            raise OperationContractError("a MachineGroup needs a member")
+        if not all(isinstance(m, Machine) for m in self.members):
+            raise OperationContractError(
+                "MachineGroup members must be Machines")
+
+    @property
+    def metrics(self) -> Metrics:
+        """The lead member's accumulator (host time and driver spans)."""
+        return self.members[0].metrics
+
+    @property
+    def topology(self) -> Topology:
+        raise OperationContractError(
+            "a MachineGroup has no single topology; run this entry point "
+            "on each member")
+
+    @contextmanager
+    def phase(self, label: str) -> Iterator[Metrics]:
+        """Open ``label`` on every member; host time goes to the lead."""
+        lead, *rest = self.members
+        with ExitStack() as stack:
+            stack.enter_context(lead.metrics.phase(label))
+            for m in rest:
+                stack.enter_context(m.metrics.phase(label, wall=False))
+            yield lead.metrics
+
+    def replay(self, charges: Callable[..., Iterator[str | None]],
+               *params) -> None:
+        for m in self.members:
+            m.replay(charges, *params)
+
+    def local(self, length: int, count: int = 1) -> None:
+        for m in self.members:
+            m.local(length, count)
+
+    def exchange(self, length: int, bit: int, count: int = 1) -> None:
+        for m in self.members:
+            m.exchange(length, bit, count)
+
+    def monotone_route(self, length: int) -> None:
+        for m in self.members:
+            m.monotone_route(length)
+
+    def exchange_sweep(self, length: int, bits: tuple) -> None:
+        for m in self.members:
+            m.exchange_sweep(length, bits)
+
+    def doubling_sweep(self, length: int) -> None:
+        for m in self.members:
+            m.doubling_sweep(length)
+
+    def long_shift(self, length: int, span: int) -> None:
+        for m in self.members:
+            m.long_shift(length, span)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"MachineGroup({list(self.members)!r})"
 
 
 # ----------------------------------------------------------------------

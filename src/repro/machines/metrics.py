@@ -134,13 +134,16 @@ class Metrics:
             self.plan_compile_seconds += compile_seconds
 
     @contextmanager
-    def phase(self, label: str) -> Iterator[Metrics]:
+    def phase(self, label: str, *, wall: bool = True) -> Iterator[Metrics]:
         """Attribute costs charged inside the block to ``label``.
 
         Simulated charges go to ``phases[label]``; real elapsed host time
         goes to ``wall_phases[label]`` (self time: nested phases are
         attributed to the inner label, as with simulated charges) and, for
-        outermost phases, to ``wall_time``.
+        outermost phases, to ``wall_time``.  ``wall=False`` records no
+        host time (the block's seconds belong to another accumulator —
+        a :class:`~repro.machines.machine.MachineGroup`'s lead member);
+        charges and the trace span are unchanged.
         """
         hook = _TRACE_HOOK
         span = hook.begin_phase(label, self) if hook is not None else None
@@ -152,13 +155,14 @@ class Metrics:
         finally:
             elapsed = perf_counter() - start
             self._phase_stack.pop()
-            self_time = elapsed - frame[1]
-            self.wall_phases[label] += self_time
-            _GLOBAL_WALL_PHASES[label] += self_time
-            if self._phase_stack:
-                self._phase_stack[-1][1] += elapsed
-            else:
-                self.wall_time += elapsed
+            if wall:
+                self_time = elapsed - frame[1]
+                self.wall_phases[label] += self_time
+                _GLOBAL_WALL_PHASES[label] += self_time
+                if self._phase_stack:
+                    self._phase_stack[-1][1] += elapsed
+                else:
+                    self.wall_time += elapsed
             if span is not None:
                 hook.end_phase(span)
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ..errors import OperationContractError
-from ..machines.machine import Machine
+from ..machines.machine import Machine, MachineGroup
 from ..trace.tracer import trace_span
 from . import plans as _plans
 from . import vexec as _vexec
@@ -67,7 +67,7 @@ def compare_exchange_round(
 
 
 def bitonic_sort(
-    machine: Machine,
+    machine: Machine | MachineGroup,
     keys: KeySpec,
     payloads: Sequence[ArrayLike] = (),
     *,
@@ -83,11 +83,23 @@ def bitonic_sort(
     On a machine constructed with ``randomized=True`` the sort instead
     charges the measured round count of a Valiant two-phase routed
     randomized sort (the Reif–Valiant expected-``Theta(log n)`` substrate
-    of Table 1) — results are identical, only the cost model changes.
+    of Table 1) — only the cost model changes.  The sorted keys are the
+    same either way; payloads are too when no two keys tie (the bitonic
+    network is not stable, the randomized substrate is).
+
+    On a :class:`~repro.machines.machine.MachineGroup` with randomized
+    members the data is sorted once — by the deterministic members'
+    network if there are any, else by the first randomized member — and
+    each randomized member is charged its own Valiant-routed rounds, in
+    member order.
     """
-    if getattr(machine, "randomized", False) and segment_size is None:
-        with trace_span("randomized_sort", machine.metrics):
-            return _randomized_sort(machine, keys, payloads, ascending)
+    if segment_size is None:
+        if isinstance(machine, MachineGroup):
+            if any(m.randomized for m in machine.members):
+                return _group_sort(machine, keys, payloads, ascending)
+        elif getattr(machine, "randomized", False):
+            with trace_span("randomized_sort", machine.metrics):
+                return _randomized_sort(machine, keys, payloads, ascending)
     keys = _copy_arrays(as_key_list(keys))
     payloads = _copy_arrays([np.asarray(p) for p in payloads])
     length = len(keys[0])
@@ -132,8 +144,6 @@ def _randomized_sort(
     matching size plus O(log n) splitter bookkeeping — the [Reif and
     Valiant 1987] substrate behind the paper's "expected" columns.
     """
-    from ..machines.routing import randomized_sort_rounds
-
     keys = _copy_arrays(as_key_list(keys))
     payloads = _copy_arrays([np.asarray(p) for p in payloads])
     length = len(keys[0])
@@ -162,11 +172,40 @@ def _randomized_sort(
         ))
     keys = [k[order] for k in keys]
     payloads = [p[order] for p in payloads]
+    _charge_randomized(machine, length)
+    return keys, payloads
+
+
+def _charge_randomized(machine: Machine, length: int) -> None:
+    """Charge one randomized sort of ``length`` slots; each call draws
+    the machine's next routing seed."""
+    from ..machines.routing import randomized_sort_rounds
+
     machine._rand_calls += 1
     rounds = randomized_sort_rounds(length, seed=machine._rand_calls)
     machine.metrics.charge_comm(1.0, rounds=int(round(rounds)))
     machine.local(length, count=max(1, length.bit_length() - 1))
-    return keys, payloads
+
+
+def _group_sort(
+    group: MachineGroup,
+    keys: KeySpec,
+    payloads: Sequence[ArrayLike],
+    ascending: bool,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """:func:`bitonic_sort` on a group with randomized members."""
+    det = [m for m in group.members if not m.randomized]
+    rand = [m for m in group.members if m.randomized]
+    if det:
+        out = bitonic_sort(MachineGroup(det), keys, payloads,
+                           ascending=ascending)
+    else:
+        lead = rand.pop(0)
+        with trace_span("randomized_sort", lead.metrics):
+            out = _randomized_sort(lead, keys, payloads, ascending)
+    for m in rand:
+        _charge_randomized(m, len(out[0][0]))
+    return out
 
 
 def bitonic_merge(

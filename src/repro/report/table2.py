@@ -13,7 +13,7 @@ from ..core.hull_membership import hull_membership_intervals
 from ..core.neighbors import closest_point_sequence
 from ..kinetics.davenport_schinzel import lambda_mesh_size
 from ..kinetics.motion import converging_swarm, crossing_traffic, random_system
-from ..machines.machine import hypercube_machine, mesh_machine
+from ..machines.machine import MachineGroup, hypercube_machine, mesh_machine
 
 TITLE = "Table 2: transient behaviour problems"
 
@@ -60,15 +60,21 @@ SIZES = {
 }
 
 
-def measure(problem: str, machine_factory) -> list[float]:
+def measure_on(problem: str, machine_factories) -> list[list[float]]:
+    """Simulated time per factory and size: each instance is built once
+    and run once on a :class:`MachineGroup` of the factories' machines."""
     make_system, run, _ = PROBLEMS[problem]
-    times = []
+    times: list[list[float]] = [[] for _ in machine_factories]
     for n in SIZES[problem]:
-        system = make_system(n)
-        machine = machine_factory(4096)
-        run(machine, system)
-        times.append(machine.metrics.time)
+        group = MachineGroup(f(4096) for f in machine_factories)
+        run(group, make_system(n))
+        for t, machine in zip(times, group.members):
+            t.append(machine.metrics.time)
     return times
+
+
+def measure(problem: str, machine_factory) -> list[float]:
+    return measure_on(problem, (machine_factory,))[0]
 
 
 def rows() -> list[list]:
@@ -76,8 +82,7 @@ def rows() -> list[list]:
     for problem in PROBLEMS:
         sizes = SIZES[problem]
         _, _, pe_bound = PROBLEMS[problem]
-        mesh_t = measure(problem, mesh_machine)
-        cube_t = measure(problem, hypercube_machine)
+        mesh_t, cube_t = measure_on(problem, (mesh_machine, hypercube_machine))
         out.append([
             problem,
             pe_bound(sizes[-1]),

@@ -8,7 +8,7 @@ from ..core.steady.hull import steady_hull
 from ..core.steady.neighbors import steady_closest_pair, steady_nearest_neighbor
 from ..core.steady.rectangle import steady_enclosing_rectangle
 from ..kinetics.motion import divergent_system
-from ..machines.machine import hypercube_machine, mesh_machine
+from ..machines.machine import MachineGroup, hypercube_machine, mesh_machine
 
 TITLE = "Table 3: steady-state problems"
 
@@ -24,24 +24,33 @@ PROBLEMS = {
 }
 
 
-def measure(fn, machine_factory) -> list[float]:
-    times = []
-    for n in SIZES:
-        system = divergent_system(n, d=2, seed=n)
-        machine = machine_factory(n)
-        fn(machine, system)
-        times.append(machine.metrics.time)
+def _systems() -> list:
+    return [divergent_system(n, d=2, seed=n) for n in SIZES]
+
+
+def measure_on(fn, machine_factories, systems) -> list[list[float]]:
+    """Simulated time per factory and size: each ``systems`` instance runs
+    once on a :class:`MachineGroup` of the factories' machines."""
+    times: list[list[float]] = [[] for _ in machine_factories]
+    for n, system in zip(SIZES, systems):
+        group = MachineGroup(f(n) for f in machine_factories)
+        fn(group, system)
+        for t, machine in zip(times, group.members):
+            t.append(machine.metrics.time)
     return times
+
+
+def measure(fn, machine_factory) -> list[float]:
+    return measure_on(fn, (machine_factory,), _systems())[0]
 
 
 def rows() -> list[list]:
     out = []
+    systems = _systems()
+    factories = (mesh_machine, hypercube_machine,
+                 lambda n: hypercube_machine(n, randomized=True))
     for name, fn in PROBLEMS.items():
-        mesh_t = measure(fn, mesh_machine)
-        cube_t = measure(fn, hypercube_machine)
-        exp_t = measure(
-            fn, lambda n: hypercube_machine(n, randomized=True)
-        )
+        mesh_t, cube_t, exp_t = measure_on(fn, factories, systems)
         out.append([
             name,
             f"{mesh_t[-1]:.0f}",

@@ -11,7 +11,7 @@ from ..geometry.antipodal import antipodal_pairs
 from ..geometry.closest_pair import closest_pair_parallel
 from ..geometry.convex_hull import convex_hull, convex_hull_parallel
 from ..geometry.rectangle import enclosing_rectangle_parallel
-from ..machines.machine import hypercube_machine, mesh_machine
+from ..machines.machine import MachineGroup, hypercube_machine, mesh_machine
 
 TITLE = "Table 4: static algorithms"
 
@@ -30,13 +30,20 @@ def circle(n: int, seed: int = 0):
             for i in range(n)]
 
 
-def sweep(fn, machine_factory, pts_fn) -> list[float]:
-    times = []
+def sweep_on(fn, machine_factories, pts_fn) -> list[list[float]]:
+    """Simulated time per factory and size: each point set is built once
+    and run once on a :class:`MachineGroup` of the factories' machines."""
+    times: list[list[float]] = [[] for _ in machine_factories]
     for n in SIZES:
-        machine = machine_factory(n)
-        fn(machine, pts_fn(n))
-        times.append(machine.metrics.time)
+        group = MachineGroup(f(n) for f in machine_factories)
+        fn(group, pts_fn(n))
+        for t, machine in zip(times, group.members):
+            t.append(machine.metrics.time)
     return times
+
+
+def sweep(fn, machine_factory, pts_fn) -> list[float]:
+    return sweep_on(fn, (machine_factory,), pts_fn)[0]
 
 
 def serial_antipodal_ops() -> list[int]:
@@ -53,14 +60,13 @@ def serial_antipodal_ops() -> list[int]:
 
 def rows() -> list[list]:
     out = []
-    cp_mesh = sweep(closest_pair_parallel, mesh_machine, rand_points)
-    cp_cube = sweep(closest_pair_parallel, hypercube_machine, rand_points)
+    both = (mesh_machine, hypercube_machine)
+    cp_mesh, cp_cube = sweep_on(closest_pair_parallel, both, rand_points)
     out.append(["closest pair", "mesh", f"{cp_mesh[-1]:.0f}",
                 power_fit(SIZES, cp_mesh).describe()])
     out.append(["closest pair", "hypercube", f"{cp_cube[-1]:.0f}",
                 f"(log n)^{polylog_fit(SIZES, cp_cube):.2f}"])
-    ch_mesh = sweep(convex_hull_parallel, mesh_machine, rand_points)
-    ch_cube = sweep(convex_hull_parallel, hypercube_machine, rand_points)
+    ch_mesh, ch_cube = sweep_on(convex_hull_parallel, both, rand_points)
     out.append(["convex hull", "mesh", f"{ch_mesh[-1]:.0f}",
                 power_fit(SIZES, ch_mesh).describe()])
     out.append(["convex hull", "hypercube", f"{ch_cube[-1]:.0f}",

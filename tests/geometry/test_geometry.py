@@ -144,6 +144,18 @@ class TestConvexHull:
                 assert got == want
                 assert m.metrics.time > 0
 
+    @pytest.mark.usefixtures("plan_mode")
+    @pytest.mark.parametrize("randomized", [False, True])
+    def test_parallel_matches_serial_on_duplicate_points(self, randomized):
+        # Duplicates and padding slots tie on (x, y); the unstable bitonic
+        # network once kept a different duplicate than the oracle.
+        for pts in ([(i % 3, i % 2) for i in range(12)],
+                    [(i % 4, i % 3) for i in range(21)] + [(0, 0)] * 3):
+            want = convex_hull(pts)
+            assert convex_hull_parallel(mesh_machine(64), pts) == want
+            cube = hypercube_machine(64, randomized=randomized)
+            assert convex_hull_parallel(cube, pts) == want
+
     def test_parallel_cost_scaling_mesh(self):
         def cost(n):
             m = mesh_machine(4096)
