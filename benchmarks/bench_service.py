@@ -194,7 +194,7 @@ def check_correctness(sampled: dict, universe: list,
     """
     reqs = [r for r in universe if r.key() in sampled]
     baselines = parallel_map(direct_item,
-                             [(r, machine_size, None) for r in reqs],
+                             [(r, machine_size) for r in reqs],
                              jobs=2)
     for req, baseline in zip(reqs, baselines):
         served = sampled[req.key()]

@@ -6,13 +6,12 @@ optimisations.  This bench measures the other axis: how long the simulator
 itself takes to run, in seconds, per tier:
 
 * ``smoke`` / ``full`` — the three end-to-end workloads (envelope
-  construction, hull membership, steady-state hull), timed under all three
-  data-movement executors (``vectorized``/``compiled``/``reference``).
+  construction, hull membership, steady-state hull), timed under both
+  data-movement executors (``vectorized``/``reference``).
 * ``large`` — ops-level sort/merge workloads at Table-1 scale
-  (n up to 2^20 PEs) where the vectorized column executor is the headline:
-  object/tuple keys are exactly what the per-pair compiled loop is slow
-  at.  The interpreted reference executor is skipped at this tier (hours),
-  so the "before" is the compiled executor.
+  (n up to 2^20 PEs) with object/tuple keys, timed under the vectorized
+  executor only: the interpreted reference executor is skipped at this
+  tier (hours).
 
 CLI runs write ``BENCH_wallclock.json`` at the repo root (pytest entry
 points write to a temp dir instead — the committed artifact records
@@ -20,7 +19,7 @@ deliberate benchmark invocations only), with speedups
 against the seed revision's numbers where a seed baseline exists
 (``SEED_SECONDS``, measured with this same harness on the pre-optimisation
 tree, min of 3 runs).  The simulated time charged by every measured
-executor is asserted bit-identical — the PR 3 / PR 6 contract.
+executor is asserted bit-identical.
 
 CLI runs additionally append one JSON line per run (provenance included)
 to ``benchmarks/history/wallclock.jsonl`` so regressions are visible
@@ -55,7 +54,7 @@ from repro.core.steady import steady_hull
 from repro.kinetics.motion import divergent_system, random_system
 from repro.kinetics.polynomial import Polynomial
 from repro.machines.machine import mesh_machine
-from repro.ops import bitonic_merge, bitonic_sort, set_compiled_plans
+from repro.ops import bitonic_merge, bitonic_sort, set_executor
 from repro.trace import Tracer, provenance_manifest, write_chrome_trace
 from repro.trace.registry import registry_snapshot
 from repro.verify.oracle import campaign
@@ -65,8 +64,7 @@ HISTORY_PATH = pathlib.Path(__file__).resolve().parent / "history" / "wallclock.
 
 #: Seconds for the seed revision (commit d9f28b7), same harness, same
 #: parameters, min of 3 — the "before" of every ``speedup`` in the JSON.
-#: The large tier has no entry: its workloads postdate the seed, so its
-#: "before" is the compiled executor (``vectorized_speedup``).
+#: The large tier has no entry: its workloads postdate the seed.
 SEED_SECONDS = {
     "full": {"envelope": 0.1507, "hull_membership": 0.0906,
              "steady_hull": 1.1540},
@@ -101,14 +99,13 @@ PARAMS = {
 #: headline ``seconds`` and the sim-parity anchor).  The interpreted
 #: reference executor is only affordable at smoke/full sizes.
 EXECUTOR_TIERS = {
-    "smoke": ("vectorized", "compiled", "reference"),
-    "full": ("vectorized", "compiled", "reference"),
-    "large": ("vectorized", "compiled"),
+    "smoke": ("vectorized", "reference"),
+    "full": ("vectorized", "reference"),
+    "large": ("vectorized",),
 }
 
-#: Per-tier default repeats: the large tier's compiled runs are tens of
-#: seconds each, so one timed pass (after an untimed plan-cache warm-up)
-#: is the budget.
+#: Per-tier default repeats: the large tier's runs take seconds each, so
+#: one timed pass (after an untimed plan-cache warm-up) is the budget.
 DEFAULT_REPEATS = {"smoke": 3, "full": 3, "large": 1}
 
 #: Campaign-scaling parameters: a small oracle campaign timed at each jobs
@@ -254,11 +251,11 @@ def _measure_executors(run, repeats: int, executors):
     """Time ``run`` under each executor; assert simulated-time parity."""
     out = {}
     for name in executors:
-        prev = set_compiled_plans(name)
+        prev = set_executor(name)
         try:
             out[name] = _measure(run, repeats)
         finally:
-            set_compiled_plans(prev)
+            set_executor(prev)
     sims = {name: measured[2].metrics.time for name, measured in out.items()}
     anchor = sims[executors[0]]
     assert all(sim == anchor for sim in sims.values()), (
@@ -346,8 +343,8 @@ def run_wallclock(mode: str = "full", repeats: int | None = None,
 
     Each workload entry records measured seconds (min and mean of
     ``repeats``) under the tier's executors (``EXECUTOR_TIERS``), the seed
-    baseline and speedup where one exists, the executor-vs-executor
-    speedups, the *simulated* time the run charged (asserted identical
+    baseline and speedup where one exists, the *simulated* time the run
+    charged (asserted identical
     across all measured executors — the number that must never move),
     per-phase wall-clock, and the run's provenance manifest (git revision,
     seed inputs, host info, package versions).
@@ -374,15 +371,10 @@ def run_wallclock(mode: str = "full", repeats: int | None = None,
             run()  # untimed warm-up: compiles the shared movement plan
         measured = _measure_executors(run, repeats, executors)
         best, mean, machine = measured["vectorized"]
-        comp_best, comp_mean, _ = measured["compiled"]
         entry = {
             "params": params,
             "seconds": round(best, 4),
             "mean_seconds": round(mean, 4),
-            "compiled_seconds": round(comp_best, 4),
-            "compiled_mean_seconds": round(comp_mean, 4),
-            "vectorized_speedup":
-                round(comp_best / best, 2) if best > 0 else math.inf,
             "sim_time": machine.metrics.time,
             "provenance": provenance,
         }
@@ -390,8 +382,6 @@ def run_wallclock(mode: str = "full", repeats: int | None = None,
             off_best, off_mean, _ = measured["reference"]
             entry["plan_off_seconds"] = round(off_best, 4)
             entry["plan_off_mean_seconds"] = round(off_mean, 4)
-            entry["plan_speedup"] = (
-                round(off_best / comp_best, 2) if comp_best > 0 else math.inf)
         seed = SEED_SECONDS.get(mode, {}).get(name)
         if seed is not None:
             entry["seed_seconds"] = seed
@@ -426,12 +416,9 @@ def _print_results(results: dict) -> None:
     print(f"\nwall-clock sweep ({results['mode']} tier, "
           f"min of {results['repeats']}):")
     for name, entry in results["workloads"].items():
-        line = (f"  {name:18s} {entry['seconds']:8.4f}s   "
-                f"compiled {entry['compiled_seconds']:.4f}s "
-                f"({entry['vectorized_speedup']:.2f}x)")
+        line = f"  {name:18s} {entry['seconds']:8.4f}s"
         if "plan_off_seconds" in entry:
-            line += (f"   interpreted {entry['plan_off_seconds']:.4f}s "
-                     f"({entry['plan_speedup']:.2f}x)")
+            line += f"   interpreted {entry['plan_off_seconds']:.4f}s"
         if "seed_seconds" in entry:
             line += (f"   seed {entry['seed_seconds']:.4f}s "
                      f"({entry['speedup']:.2f}x)")
@@ -452,13 +439,8 @@ def test_wallclock_report(tmp_path):
     _print_results(results)
     for name, entry in results["workloads"].items():
         assert entry["seconds"] < 10.0, f"{name} runaway: {entry}"
-        # Neither fast executor may be a pessimisation vs the interpreted
-        # reference (noise-aware: see within_noise).
-        assert within_noise(entry["compiled_seconds"],
-                            entry["plan_off_seconds"]), (
-            f"{name}: compiled {entry['compiled_seconds']:.4f}s slower than "
-            f"interpreted {entry['plan_off_seconds']:.4f}s"
-        )
+        # The vectorized executor may not be a pessimisation vs the
+        # interpreted reference (noise-aware: see within_noise).
         assert within_noise(entry["seconds"], entry["plan_off_seconds"]), (
             f"{name}: vectorized {entry['seconds']:.4f}s slower than "
             f"interpreted {entry['plan_off_seconds']:.4f}s"
@@ -475,7 +457,7 @@ if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tier", choices=sorted(PARAMS), default=None,
                     help="workload tier (default: full; large = ops-level "
-                         "sort/merge up to 2^20 PEs, no interpreted runs)")
+                         "sort/merge up to 2^20 PEs, vectorized only)")
     ap.add_argument("--smoke", action="store_true",
                     help="alias for --tier smoke")
 

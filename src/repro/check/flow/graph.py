@@ -6,9 +6,9 @@ canonical*: it reuses the engine's alias discipline — every name is
 normalised to its defining module's dotted path — and extends it with
 the three resolution steps the per-file rules cannot do:
 
-* **relative imports** — ``from ..ops.plans import set_compiled_plans``
-  inside ``repro.service.workers`` binds ``set_compiled_plans`` to
-  ``repro.ops.plans.set_compiled_plans``;
+* **relative imports** — ``from .model import run_driver`` inside
+  ``repro.service.workers`` binds ``run_driver`` to
+  ``repro.service.model.run_driver``;
 * **method attribution** — ``self.method()`` resolves through the
   enclosing class (and its known bases); ``self.attr.method()`` and
   ``obj.method()`` resolve through inferred attribute/local types

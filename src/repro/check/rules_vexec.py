@@ -8,7 +8,7 @@ regressions — an object-dtype array or a ``range()`` element loop slipped
 into an executor re-creates exactly the per-pair python path the module
 replaces (the wall-clock rots, every value test stays green), and a
 per-round charge call de-fuses the charge vector (simulated time drifts
-from the other two executors).
+from the reference executor).
 
 The rule therefore flags, inside the vexec module only
 (:attr:`repro.check.policy.CheckPolicy.vexec_modules`):
@@ -49,7 +49,7 @@ class VexecHygiene(Rule):
                  "python loops; an object array or range() loop past the "
                  "lowering boundary silently restores them, and a "
                  "per-round charge call de-fuses the plan charge vectors "
-                 "the three-executor contract relies on "
+                 "the two-executor contract relies on "
                  "(docs/cost_model.md)")
 
     def check(self, ctx: FileContext) -> None:

@@ -11,10 +11,8 @@ from .plans import (
     EXECUTORS,
     MovementPlan,
     clear_plan_cache,
-    compiled_plans_enabled,
     get_executor,
     plan_cache_stats,
-    set_compiled_plans,
     set_executor,
 )
 from .vexec import lower_keys, vexec_stats
@@ -35,7 +33,6 @@ __all__ = [
     "broadcast", "fill_backward", "fill_forward",
     "parallel_prefix", "parallel_suffix", "semigroup",
     "MovementPlan", "EXECUTORS", "clear_plan_cache",
-    "compiled_plans_enabled", "get_executor", "set_executor",
-    "plan_cache_stats", "set_compiled_plans",
+    "get_executor", "set_executor", "plan_cache_stats",
     "lower_keys", "vexec_stats",
 ]

@@ -13,8 +13,8 @@ from ..errors import OperationContractError
 #: first) — the key spec every sort/merge entry point accepts.
 KeySpec = Union[ArrayLike, Sequence[ArrayLike]]
 
-__all__ = ["as_key_list", "lex_gt", "lex_eq", "check_power_of_two",
-           "check_segment_size", "next_pow2"]
+__all__ = ["as_key_list", "reject_nan_keys", "lex_gt", "lex_eq",
+           "check_power_of_two", "check_segment_size", "next_pow2"]
 
 
 def next_pow2(m: int) -> int:
@@ -45,7 +45,9 @@ def as_key_list(keys: KeySpec) -> list[np.ndarray]:
 
     Multiple keys compare lexicographically, most significant first.
     NaN keys are rejected: NaN comparisons are all-false, which would make
-    the compare-exchange network silently produce garbage.
+    the compare-exchange network silently produce garbage.  Object arrays
+    are checked where their elements are walked anyway: key lowering
+    (:mod:`repro.ops.vexec`) or :func:`reject_nan_keys`.
     """
     if isinstance(keys, np.ndarray):
         keys = [keys]
@@ -59,6 +61,19 @@ def as_key_list(keys: KeySpec) -> list[np.ndarray]:
         if np.issubdtype(k.dtype, np.floating) and np.isnan(k).any():
             raise OperationContractError("keys must not contain NaN")
     return keys
+
+
+def _is_nan(value) -> bool:
+    if isinstance(value, tuple):
+        return any(map(_is_nan, value))
+    return isinstance(value, (float, np.floating)) and value != value
+
+
+def reject_nan_keys(keys: list[np.ndarray]) -> None:
+    """Raise on a NaN in an object key array, as a scalar or in a tuple."""
+    for k in keys:
+        if k.dtype == object and any(map(_is_nan, k.tolist())):
+            raise OperationContractError("keys must not contain NaN")
 
 
 def _bool(arr: ArrayLike) -> np.ndarray:

@@ -25,8 +25,7 @@ from ..errors import OperationContractError
 from ..machines.machine import Machine, MachineGroup
 from ..trace.tracer import trace_span
 from . import plans as _plans
-from . import vexec as _vexec
-from ._common import KeySpec, as_key_list, check_segment_size, lex_gt
+from ._common import KeySpec, as_key_list, check_segment_size, lex_gt, reject_nan_keys
 
 __all__ = ["bitonic_sort", "bitonic_merge", "compare_exchange_round"]
 
@@ -107,14 +106,11 @@ def bitonic_sort(
         raise OperationContractError("payload arrays must match key length")
     seg = check_segment_size(length, segment_size)
     with trace_span("bitonic_sort", machine.metrics, n=length, segment=seg):
-        if _plans.compiled_plans_enabled():
+        if _plans.get_executor() == "vectorized":
             plan = _plans.get_sort_plan(machine, length, seg, bool(ascending))
-            if (_plans.get_executor() == "vectorized"
-                    and _vexec.execute_plan_vectorized(
-                        machine, plan, keys, payloads)):
-                return keys, payloads
-            _plans.execute_plan(machine, plan, keys, payloads, lex_gt)
+            _plans.execute_plan(machine, plan, keys, payloads)
             return keys, payloads
+        reject_nan_keys(keys)
         idx = np.arange(length)
         k = 2
         while k <= seg:
@@ -165,6 +161,7 @@ def _randomized_sort(
         cols = keys if ascending else [-k for k in keys]
         order = np.lexsort(tuple(reversed(cols)))
     else:
+        reject_nan_keys(keys)
         order = np.asarray(sorted(
             range(length),
             key=lambda i: tuple(k[i] for k in keys),
@@ -232,14 +229,11 @@ def bitonic_merge(
         return keys, payloads
     half = seg // 2
     with trace_span("bitonic_merge", machine.metrics, n=length, segment=seg):
-        if _plans.compiled_plans_enabled():
+        if _plans.get_executor() == "vectorized":
             plan = _plans.get_merge_plan(machine, length, seg, bool(ascending))
-            if (_plans.get_executor() == "vectorized"
-                    and _vexec.execute_plan_vectorized(
-                        machine, plan, keys, payloads)):
-                return keys, payloads
-            _plans.execute_plan(machine, plan, keys, payloads, lex_gt)
+            _plans.execute_plan(machine, plan, keys, payloads)
             return keys, payloads
+        reject_nan_keys(keys)
         # Reverse the second half of every segment (one lockstep route).
         rev = np.arange(length)
         inseg = rev % seg

@@ -26,7 +26,7 @@ cross-instance pattern as ``_CHARGE_CACHE`` in
   rounds) into one aggregated charge.  All link distances in the cost
   model are integer-valued, so the aggregated totals are **bit-identical**
   to charging the interpreted rounds one by one — simulated time never
-  moves when plans are toggled.
+  moves between executors.
 
 The cache is bounded (`_PLAN_CACHE_CAP`) and clearable through
 :func:`clear_plan_cache` / :func:`repro.machines.clear_caches`.  Hit, miss
@@ -43,35 +43,35 @@ from typing import TYPE_CHECKING, Callable, TypeVar
 import numpy as np
 
 from ..trace.registry import get_counter, register_gauge
+from . import vexec as _vexec
+from ._common import lex_gt, reject_nan_keys
 
 if TYPE_CHECKING:
     from ..machines.machine import Machine
 
 __all__ = [
     "MovementPlan", "PlanRound", "EXECUTORS",
-    "compiled_plans_enabled", "set_compiled_plans",
     "get_executor", "set_executor",
     "get_sort_plan", "get_merge_plan", "get_butterfly_partners",
+    "execute_plan", "execute_butterfly",
     "plan_cache_stats", "reset_plan_stats", "clear_plan_cache",
 ]
 
-#: The three executor strategies (the ``set_fast_combine`` pattern):
+#: The two executor strategies (the ``set_fast_combine`` pattern):
 #:
 #: * ``"reference"``  — the interpreted per-round executors: index arrays
 #:   rebuilt with ``np.arange`` every call, comparators evaluated both
-#:   ways.  The slowest path and the semantic oracle the other two are
-#:   verified against.
-#: * ``"compiled"``   — cached :class:`MovementPlan` schedules with
-#:   pre-oriented gathers; comparators still run over the original
-#:   (possibly object-dtype) key arrays.
-#: * ``"vectorized"`` — compiled plans executed by :mod:`repro.ops.vexec`
-#:   over numeric key columns lowered once per operation; falls back to
-#:   ``"compiled"`` *per operation* when a key cannot be lowered (counted
-#:   in ``vexec.fallbacks``, never silent).
+#:   ways, one charge per round.  The slowest path and the semantic
+#:   oracle the other is verified against.
+#: * ``"vectorized"`` — cached :class:`MovementPlan` schedules run by
+#:   :func:`execute_plan` over numeric key columns lowered once per
+#:   operation (:mod:`repro.ops.vexec`); when a key cannot be lowered,
+#:   that operation replays the plan over the original (object) keys
+#:   instead — counted in ``vexec.fallbacks``, never silent.
 #:
-#: Outputs and simulated charges are bit-identical for all three — only
-#: host wall-clock moves.
-EXECUTORS = ("reference", "compiled", "vectorized")
+#: Outputs and simulated charges are bit-identical for both — only host
+#: wall-clock moves.
+EXECUTORS = ("reference", "vectorized")
 
 _EXECUTOR = "vectorized"
 
@@ -111,28 +111,6 @@ def set_executor(name: str) -> str:
     prev = _EXECUTOR
     _EXECUTOR = name
     return prev
-
-
-def compiled_plans_enabled() -> bool:
-    """Whether the ops layer executes compiled plans (True by default).
-
-    Both the ``"compiled"`` and ``"vectorized"`` strategies run compiled
-    plans (and charge through the fused sweeps); only ``"reference"``
-    takes the interpreted per-round path.
-    """
-    return _EXECUTOR != "reference"
-
-
-def set_compiled_plans(enabled) -> str:
-    """Back-compat executor toggle; returns the previous executor name.
-
-    Accepts the historical booleans (``True`` → ``"compiled"``, ``False``
-    → ``"reference"``) as well as any :data:`EXECUTORS` name, so callers
-    can restore a saved setting with the returned value either way.
-    """
-    if isinstance(enabled, str):
-        return set_executor(enabled)
-    return set_executor("compiled" if enabled else "reference")
 
 
 def plan_cache_stats() -> dict:
@@ -317,15 +295,21 @@ def execute_plan(
     plan: MovementPlan,
     keys: list[np.ndarray],
     payloads: list[np.ndarray],
-    lex_gt: Callable[[list[np.ndarray], list[np.ndarray]], np.ndarray],
 ) -> None:
-    """Replay a compiled plan over ``keys``/``payloads`` in place.
+    """Run a compiled plan over ``keys``/``payloads`` in place.
 
-    Data movement is batched NumPy gathers/scatters over the precompiled
-    index arrays; the simulated time is charged once through the plan's
-    fused charge vector — bit-identical to the interpreted per-round
-    charges (see the module docstring).
+    The plan runs over lowered key columns
+    (:func:`repro.ops.vexec.execute_plan_vectorized`).  When lowering
+    refuses (counted in ``vexec.fallbacks``), the rounds replay over the
+    original keys instead: batched NumPy gathers/scatters over the
+    precompiled, pre-oriented index arrays.  Either way the simulated
+    time is charged once through the plan's fused charge vector —
+    bit-identical to the interpreted per-round charges (see the module
+    docstring).
     """
+    if _vexec.execute_plan_vectorized(machine, plan, keys, payloads):
+        return
+    reject_nan_keys(keys)
     length = len(keys[0])
     arrays = (*keys, *payloads)
     if plan.pre_permutation is not None:
@@ -346,3 +330,27 @@ def execute_plan(
                 arr[dst] = tmp
     if plan.bits:
         machine.exchange_sweep(length, plan.bits)
+
+
+def execute_butterfly(
+    machine: Machine,
+    values: np.ndarray,
+    op: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """All-reduce ``values`` under ``op`` over the compiled butterfly.
+
+    Object arrays first try the lowered column
+    (:func:`repro.ops.vexec.butterfly_vectorized`); other dtypes, and
+    refusals, combine with ``op`` at each partner distance.  One fused
+    doubling sweep is charged either way.
+    """
+    length = len(values)
+    partners = get_butterfly_partners(machine, length)
+    if values.dtype == object:
+        out = _vexec.butterfly_vectorized(machine, values, op, partners)
+        if out is not None:
+            return out
+    for partner in partners:
+        values = op(values, values[partner])
+    machine.doubling_sweep(length)
+    return values

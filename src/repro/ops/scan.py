@@ -20,7 +20,6 @@ from ..errors import OperationContractError
 from ..machines.machine import Machine
 from ..trace.tracer import trace_span
 from . import plans as _plans
-from . import vexec as _vexec
 from ._common import check_power_of_two
 
 __all__ = ["parallel_prefix", "parallel_suffix", "semigroup", "broadcast",
@@ -51,7 +50,7 @@ def parallel_prefix(
     """
     vals = np.array(values, copy=True)
     length = _check(machine, vals, segments)
-    fused = _plans.compiled_plans_enabled()
+    fused = _plans.get_executor() == "vectorized"
     with trace_span("parallel_prefix", machine.metrics, n=length):
         d, bit = 1, 0
         while d < length:
@@ -80,7 +79,7 @@ def parallel_suffix(
     """Inclusive suffix scan (prefix from the right)."""
     vals = np.array(values, copy=True)
     length = _check(machine, vals, segments)
-    fused = _plans.compiled_plans_enabled()
+    fused = _plans.get_executor() == "vectorized"
     with trace_span("parallel_suffix", machine.metrics, n=length):
         d, bit = 1, 0
         while d < length:
@@ -117,18 +116,8 @@ def semigroup(
     length = _check(machine, vals, segments)
     if segments is None:
         with trace_span("semigroup", machine.metrics, n=length):
-            if _plans.compiled_plans_enabled():
-                partners = _plans.get_butterfly_partners(machine, length)
-                if vals.dtype == object and \
-                        _plans.get_executor() == "vectorized":
-                    out = _vexec.butterfly_vectorized(
-                        machine, vals, op, partners)
-                    if out is not None:
-                        return out
-                for partner in partners:
-                    vals = op(vals, vals[partner])
-                machine.doubling_sweep(length)
-                return vals
+            if _plans.get_executor() == "vectorized":
+                return _plans.execute_butterfly(machine, vals, op)
             d, bit = 1, 0
             while d < length:
                 partner = np.arange(length) ^ d
@@ -160,7 +149,7 @@ def fill_backward(
     vals = np.array(values, copy=True)
     has = np.array(defined, dtype=bool, copy=True)
     length = _check(machine, vals, segments)
-    fused = _plans.compiled_plans_enabled()
+    fused = _plans.get_executor() == "vectorized"
     d, bit = 1, 0
     while d < length:
         ok = ~has[:-d] & has[d:]
@@ -188,7 +177,7 @@ def fill_forward(
     vals = np.array(values, copy=True)
     has = np.array(defined, dtype=bool, copy=True)
     length = _check(machine, vals, segments)
-    fused = _plans.compiled_plans_enabled()
+    fused = _plans.get_executor() == "vectorized"
     d, bit = 1, 0
     while d < length:
         ok = ~has[d:] & has[:-d]

@@ -1,15 +1,15 @@
 """Vectorized plan executor: lowered key columns, whole-array rounds.
 
-The ``"compiled"`` executor (:func:`repro.ops.plans.execute_plan`) already
-replaced per-call index arithmetic with cached :class:`MovementPlan`
-schedules, but it still evaluates the comparator over the *original* key
-arrays every round.  For the object-dtype keys the geometry layers use —
-python-float coordinates (``closest_pair``, ``convex_hull``), tuple ranks,
+Cached :class:`~repro.ops.plans.MovementPlan` schedules already replace
+per-call index arithmetic, but replaying them over the *original* key
+arrays still evaluates the comparator over python objects every round.
+For the object-dtype keys the geometry layers use — python-float
+coordinates (``closest_pair``, ``convex_hull``), tuple ranks,
 arbitrary-precision ints — that comparator is a per-element python loop
 inside ``np.greater``, and it dominates sort-heavy workloads at scale.
 
-This module is the ``"vectorized"`` strategy of the three-way executor
-switch (:func:`repro.ops.plans.set_executor`):
+This module is the fast path of the ``"vectorized"`` executor
+(:func:`repro.ops.plans.execute_plan` tries it first):
 
 * **key lowering** — once per operation, each key array is mapped to one
   or more *numeric comparison columns* (:func:`lower_keys`): native
@@ -18,7 +18,8 @@ switch (:func:`repro.ops.plans.set_executor`):
   one column per position (tuple comparison *is* column-lexicographic).
   Lowering is exact by construction — a value that cannot be represented
   with identical comparison semantics (huge ints, ``Fraction``,
-  ``SteadyValue`` sign-test objects, mixed types) refuses to lower.
+  ``SteadyValue`` sign-test objects, mixed types) refuses to lower, and
+  a NaN key raises :class:`~repro.errors.OperationContractError`.
 * **network collapse** — a bitonic *sort* plan sorts every aligned
   segment for any input (0-1 principle), and a *merge* plan does once
   its sorted-halves premise holds; when the lowered keys carry no
@@ -30,19 +31,19 @@ switch (:func:`repro.ops.plans.set_executor`):
   one numeric comparison per round, and an index-arithmetic writeback
   (two half-length scatters).  Either way the original key and payload
   arrays (often object-dtype) are touched exactly once, at the end.
-* **explicit fallback** — when lowering refuses, the caller falls back to
-  the compiled executor for that operation.  The fallback increments the
-  ``vexec.fallbacks`` counter in the shared
+* **explicit fallback** — when lowering refuses, the caller replays the
+  plan over the original keys for that operation.  The fallback
+  increments the ``vexec.fallbacks`` counter in the shared
   :mod:`repro.trace.registry` (lowered operations count under
   ``vexec.lowered``), so a workload silently running the slow path is
   visible in every ``--verbose`` table and trace export.
 
 **Simulated time never moves.**  The executor performs the same pair
-schedule as the compiled plan and charges the identical fused vectors:
+schedule as the object-key replay and charges the identical fused vectors:
 ``machine.exchange_sweep(length, plan.bits)`` per plan,
 ``machine.long_shift`` for the merge pre-permutation, and
-``machine.doubling_sweep`` for the butterfly — bit-identical to both the
-compiled and the reference executors (see ``docs/cost_model.md``).
+``machine.doubling_sweep`` for the butterfly — bit-identical to the
+replay and to the reference executor (see ``docs/cost_model.md``).
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from ..errors import OperationContractError
 from ..trace.registry import get_counter
 from ._common import lex_gt
 
@@ -123,7 +125,7 @@ def _lower_scalars(values: Sequence,
     except OverflowError:
         return None  # an int too large for float64
     if np.isnan(col).any():
-        return None
+        raise OperationContractError("keys must not contain NaN")
     if not bool(np.asarray(obj == col, dtype=bool).all()):
         return None  # a value float64 cannot represent exactly
     return [col]
@@ -173,7 +175,10 @@ def lower_keys(keys: list[np.ndarray]) -> list[np.ndarray] | None:
 
 def _lower_single_column(values: np.ndarray) -> np.ndarray | None:
     """One object array -> exactly one numeric column (for the butterfly)."""
-    cols = _lower_object_column(values)
+    try:
+        cols = _lower_object_column(values)
+    except OperationContractError:
+        return None  # NaN values: a reduction refuses, it does not raise
     if cols is None or len(cols) != 1:
         return None
     return cols[0]
@@ -189,7 +194,7 @@ def _rebox_column(col: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Executors.  Everything below is whole-array: precompiled index gathers,
 # vectorized comparators, fused writebacks — and the identical fused
-# charges the other executors pay.
+# charges the object-key replay and the reference executor pay.
 # ----------------------------------------------------------------------
 def _halves_nondecreasing(grids: list[np.ndarray], lo: int,
                           hi: int) -> bool:
@@ -260,10 +265,11 @@ def execute_plan_vectorized(
     """Replay a compiled plan over lowered columns; False means fall back.
 
     On success, ``keys`` and ``payloads`` are permuted in place to exactly
-    the arrangement :func:`repro.ops.plans.execute_plan` produces, and the
-    machine is charged exactly the plan's fused vectors.  On a lowering
-    refusal nothing is mutated or charged: the caller must run the
-    compiled executor instead (the refusal is counted, never silent).
+    the arrangement the object-key replay in
+    :func:`repro.ops.plans.execute_plan` produces, and the machine is
+    charged exactly the plan's fused vectors.  On a lowering refusal
+    nothing is mutated or charged: the caller must replay the plan
+    instead (the refusal is counted, never silent).
     """
     cols = lower_keys(keys)
     if cols is None:

@@ -317,13 +317,13 @@ def dynamic_run_key(name: str, op: str) -> tuple:
     """The run key a dynamic family's envelope entry caches under.
 
     Same shape as :func:`run_key` — ``("envelope", family-coordinates,
-    backend, machine_size, executor, run-params)`` — with the
+    backend, machine_size, run-params)`` — with the
     ``"dynamic"`` domain marking that the entry came from the
     incremental engine, not a simulated run.  The key deliberately
     excludes the family *version*: a mutation evicts the key (targeted
     invalidation) rather than abandoning it to LRU aging.
     """
-    return ("envelope", ("dynamic", name), "incremental", 0, None,
+    return ("envelope", ("dynamic", name), "incremental", 0,
             (("op", op),))
 
 
@@ -386,8 +386,7 @@ def _validate_cached(req: QueryRequest) -> tuple:
 
 
 @functools.lru_cache(maxsize=4096)
-def run_key(req: QueryRequest, machine_size: int,
-            executor: str | None) -> tuple:
+def run_key(req: QueryRequest, machine_size: int) -> tuple:
     """The simulated-run identity a request resolves to.
 
     Requests sharing a run key are batched into one simulated run; the
@@ -396,8 +395,7 @@ def run_key(req: QueryRequest, machine_size: int,
     arrival, and repeat-heavy traffic repeats the same requests.
     """
     rp = tuple(sorted(req.run_params().items()))
-    return (req.algorithm, req.family.key(), req.backend,
-            machine_size, executor, rp)
+    return (req.algorithm, req.family.key(), req.backend, machine_size, rp)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -525,14 +523,15 @@ def answer_query(algorithm: str, result: dict, query: dict) -> Any:
     return _ANSWERERS[algorithm](result, query)
 
 
-def response_payload(req: QueryRequest, entry: dict, *, machine_size: int,
-                     executor: str | None) -> dict:
+def response_payload(req: QueryRequest, entry: dict, *,
+                     machine_size: int) -> dict:
     """The deterministic response body for ``req`` given a run entry.
 
     Every field is a pure function of the run key and the query, so a
     cache-hit payload is byte-equal to the cold payload for the same
     request (``tests/service/test_equivalence.py`` pins this as exact
-    ``json.dumps`` equality).
+    ``json.dumps`` equality).  ``"executor"`` is always ``None``: the
+    data-movement executor never changes a run's answer or charges.
     """
     return {
         "schema": "repro.service/1",
@@ -540,7 +539,7 @@ def response_payload(req: QueryRequest, entry: dict, *, machine_size: int,
         "family": req.family.to_dict(),
         "backend": req.backend,
         "machine_size": machine_size,
-        "executor": executor,
+        "executor": None,
         "run_params": req.run_params(),
         "query": req.query(),
         "answer": answer_query(req.algorithm, entry["result"], req.query()),
@@ -576,23 +575,13 @@ class QueryResponse:
         return json.dumps(self.payload, sort_keys=True).encode()
 
 
-def direct_response(req: QueryRequest, *, machine_size: int = 64,
-                    executor: str | None = None) -> dict:
+def direct_response(req: QueryRequest, *, machine_size: int = 64) -> dict:
     """The per-query driver run the service must be bit-identical to.
 
     Runs the driver fresh (no batching, no cache, no pools) and builds the
     same deterministic payload the service returns — the oracle side of
-    every equivalence test.  ``executor`` switches the data-movement
-    executor for the run and restores the previous one.
+    every equivalence test.
     """
-    from ..ops.plans import set_compiled_plans
-
-    prev = set_compiled_plans(executor) if executor is not None else None
-    try:
-        entry = run_driver(req.algorithm, req.family, req.run_params(),
-                           req.backend, machine_size)
-    finally:
-        if prev is not None:
-            set_compiled_plans(prev)
-    return response_payload(req, entry, machine_size=machine_size,
-                            executor=executor)
+    entry = run_driver(req.algorithm, req.family, req.run_params(),
+                       req.backend, machine_size)
+    return response_payload(req, entry, machine_size=machine_size)

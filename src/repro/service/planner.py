@@ -58,8 +58,7 @@ class BatchUnit:
 
 
 def plan_batches(pendings: Iterable[Any], *, machine_size: int,
-                 executor: str | None, n_shards: int,
-                 batching: bool = True,
+                 n_shards: int, batching: bool = True,
                  max_batch: int = 64) -> list[BatchUnit]:
     """Group pending requests into :class:`BatchUnit` lists.
 
@@ -74,7 +73,7 @@ def plan_batches(pendings: Iterable[Any], *, machine_size: int,
     open_units: dict[tuple, BatchUnit] = {}
     for pending in pendings:
         req: QueryRequest = pending.request
-        key = run_key(req, machine_size, executor)
+        key = run_key(req, machine_size)
         unit = open_units.get(key) if batching else None
         if unit is None or unit.size >= max_batch:
             unit = BatchUnit(key=key, shard=shard_of(key, n_shards),

@@ -50,7 +50,6 @@ from time import perf_counter
 from typing import Iterable
 
 from ..obs.telemetry import STATS_SCHEMA, ServiceTelemetry
-from ..ops.plans import EXECUTORS
 from ..trace.provenance import provenance_manifest
 from ..trace.registry import get_counter
 from .cache import ShardedResultCache
@@ -138,39 +137,27 @@ class QueryService:
                                             seed=3, n=8, op="min"))
 
     ``workers`` selects the shard pool mode: ``"thread"`` (in-process,
-    inherits the ambient data-movement executor and caches; the default)
-    or ``"process"`` (isolated workers; worker death is survivable and
-    ``executor`` may pin a data-movement executor per run).  Pinning an
-    executor under thread workers is rejected: threads share the
-    process-wide executor switch, so per-run pinning would race.
+    sharing the process's caches; the default) or ``"process"``
+    (isolated workers; worker death is survivable).
     """
 
     def __init__(self, *, shards: int = 2, workers: str = "thread",
                  cache_capacity: int = 256, cache_shards: int | None = None,
                  batching: bool = True, max_batch: int = 64,
                  batch_window: float = 0.0, machine_size: int = 64,
-                 executor: str | None = None, retries: int = 1,
-                 span_limit: int = 4096, provenance: bool = True,
+                 retries: int = 1, span_limit: int = 4096,
+                 provenance: bool = True,
                  event_capacity: int = 4096, recorder_events: int = 512,
                  recorder_spans: int = 256,
                  events_path: str | pathlib.Path | None = None,
                  postmortem_dir: str | pathlib.Path | None = None,
                  ) -> None:
-        if executor is not None and executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {executor!r}; "
-                             f"have {EXECUTORS}")
-        if executor is not None and workers == "thread":
-            raise ValueError(
-                "executor pinning requires process workers; thread workers "
-                "share the process-wide executor switch (set it at the "
-                "edge with repro.ops.set_compiled_plans instead)")
         self.n_shards = max(1, int(shards))
         self.worker_mode = workers
         self.batching = bool(batching)
         self.max_batch = max(1, int(max_batch))
         self.batch_window = float(batch_window)
         self.machine_size = int(machine_size)
-        self.executor = executor
         self.retries = max(0, int(retries))
         self.span_limit = max(0, int(span_limit))
         self._want_provenance = bool(provenance)
@@ -211,7 +198,7 @@ class QueryService:
             "cache_capacity": self.cache.capacity,
             "batching": self.batching, "max_batch": self.max_batch,
             "batch_window": self.batch_window,
-            "machine_size": self.machine_size, "executor": self.executor,
+            "machine_size": self.machine_size,
         }
         if self._want_provenance:
             self._provenance = provenance_manifest(config=config)
@@ -460,7 +447,7 @@ class QueryService:
             self.obs.observe("queue_depth", len(pending))
             units = plan_batches(
                 pending, machine_size=self.machine_size,
-                executor=self.executor, n_shards=self.n_shards,
+                n_shards=self.n_shards,
                 batching=self.batching, max_batch=self.max_batch,
             )
             for unit in units:
@@ -596,7 +583,6 @@ class QueryService:
             "family": proto.family.to_dict(),
             "backend": proto.backend,
             "machine_size": self.machine_size,
-            "executor": self.executor,
             "run_params": proto.run_params(),
             "fault": fault,
             # Correlation coordinates: ignored by the worker (the entry
@@ -633,8 +619,7 @@ class QueryService:
                 if payload is None:
                     payload = response_payload(
                         pending.request, entry,
-                        machine_size=self.machine_size,
-                        executor=self.executor)
+                        machine_size=self.machine_size)
                     payloads[rk] = payload
             except Exception as exc:
                 fut.set_exception(ServiceError(

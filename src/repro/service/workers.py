@@ -21,7 +21,6 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from time import perf_counter
 
-from ..ops.plans import set_compiled_plans
 from ..trace.registry import get_counter
 from .model import FamilySpec, QueryRequest, direct_response, run_driver
 
@@ -36,9 +35,8 @@ def execute_batch(payload: dict) -> dict:
     """Run one batch unit's simulated run; returns the run entry.
 
     ``payload`` carries the run coordinates (algorithm, family spec,
-    backend, machine size, run parameters), the executor to pin for the
-    run (``None`` inherits the process's current executor), and an
-    optional injected ``fault``.  The returned entry is JSON-plain:
+    backend, machine size, run parameters) and an optional injected
+    ``fault``.  The returned entry is JSON-plain:
     ``{"result", "sim", "sim_time", "wall"}``.
     """
     fault = payload.get("fault")
@@ -46,17 +44,10 @@ def execute_batch(payload: dict) -> dict:
         raise RuntimeError("injected worker fault (service test)")
     if fault == "die":  # pragma: no cover - kills the worker process
         os._exit(23)
-    executor = payload.get("executor")
-    prev = set_compiled_plans(executor) if executor is not None else None
     t0 = perf_counter()
-    try:
-        family = FamilySpec.from_dict(payload["family"])
-        entry = run_driver(payload["algorithm"], family,
-                           payload["run_params"], payload["backend"],
-                           payload["machine_size"])
-    finally:
-        if prev is not None:
-            set_compiled_plans(prev)
+    family = FamilySpec.from_dict(payload["family"])
+    entry = run_driver(payload["algorithm"], family, payload["run_params"],
+                       payload["backend"], payload["machine_size"])
     entry["wall"] = perf_counter() - t0
     return entry
 
@@ -64,22 +55,21 @@ def execute_batch(payload: dict) -> dict:
 def direct_item(item: tuple) -> dict:
     """Campaign-engine worker: one per-query driver run (the oracle side).
 
-    ``item`` is ``(request, machine_size, executor)``; used with
+    ``item`` is ``(request, machine_size)``; used with
     :func:`repro.parallel.parallel_map` by the load harness and the
     equivalence tests to compute direct baselines at scale with the
     engine's deterministic merge-by-index.
     """
-    req, machine_size, executor = item
+    req, machine_size = item
     assert isinstance(req, QueryRequest)
-    return direct_response(req, machine_size=machine_size,
-                           executor=executor)
+    return direct_response(req, machine_size=machine_size)
 
 
 class ShardPools:
     """One single-worker executor per shard, restartable after faults.
 
-    ``mode`` is ``"thread"`` (in-process; inherits the ambient executor
-    and caches — the test/default mode) or ``"process"`` (isolation;
+    ``mode`` is ``"thread"`` (in-process; shares the process's caches —
+    the test/default mode) or ``"process"`` (isolation;
     worker death surfaces as :class:`concurrent.futures.BrokenExecutor`
     and :meth:`restart` replaces the pool).  Pools are created lazily so
     a service with idle shards spawns nothing for them.

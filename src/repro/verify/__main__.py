@@ -77,7 +77,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="do not serialize divergent instances")
     p.add_argument("--golden", default=str(DEFAULT_GOLDEN_PATH),
                    help="path of the golden scaling JSON")
-    p.add_argument("--executor", choices=EXECUTORS, default=None,
+    p.add_argument("--executor", metavar="{" + ",".join(EXECUTORS) + "}",
+                   default=None,
                    help="data-movement executor for the whole run "
                         "(default: the REPRO_EXECUTOR env var, else "
                         "vectorized). Outputs and simulated time are "
@@ -212,9 +213,8 @@ def _select_executor(args) -> int:
         return 0
     try:
         set_executor(name)
-    except ValueError:
-        print(f"REPRO_EXECUTOR={name!r} is not an executor; choose one of "
-              f"{', '.join(EXECUTORS)}", file=sys.stderr)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     return 0
 

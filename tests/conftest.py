@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.envelope import set_fast_combine
 from repro.machines import clear_caches
-from repro.ops.plans import set_compiled_plans
+from repro.ops.plans import set_executor
 
 
 @pytest.fixture(autouse=True)
@@ -37,19 +37,19 @@ def fast_combine_mode(request):
         set_fast_combine(prev)
 
 
-@pytest.fixture(params=["vectorized", "compiled", "reference"],
-                ids=["vectorized", "compiled", "interpreted"])
+@pytest.fixture(params=["vectorized", "reference"],
+                ids=["vectorized", "interpreted"])
 def plan_mode(request):
-    """Run the decorated tests under all three data-movement executors.
+    """Run the decorated tests under both data-movement executors.
 
-    Same contract as ``fast_combine_mode``: the compiled plans (PR 3) and
-    the vectorized column executor (PR 6) must be output- and
+    Same contract as ``fast_combine_mode``: the vectorized executor
+    (compiled plans over lowered key columns) must be output- and
     simulated-charge-identical to the interpreted per-round path, so tests
     marked ``@pytest.mark.usefixtures("plan_mode")`` run once per
     executor.
     """
-    prev = set_compiled_plans(request.param)
+    prev = set_executor(request.param)
     try:
         yield request.param
     finally:
-        set_compiled_plans(prev)
+        set_executor(prev)

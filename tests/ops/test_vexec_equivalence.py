@@ -1,15 +1,16 @@
-"""Vectorized executor vs compiled plans vs the interpreted reference.
+"""The two-executor contract: vectorized vs the interpreted reference.
 
-The vectorized executor (:mod:`repro.ops.vexec`) lowers keys to numeric
-columns once per operation and replays the compiled plan as whole-array
-kernels.  These tests pin the three-way contract bit-exactly — values
-*and* the full simulated-charge snapshot must agree across
-``reference``/``compiled``/``vectorized`` on every topology, for every
-key family the lowering layer accepts, and the refusal path (key types
-that cannot be lowered) must fall back to the compiled executor
-observably: same results, ``vexec.fallbacks`` incremented in the shared
-registry.  Mirrors ``test_plans_equivalence.py``, which keeps pinning the
-compiled-vs-reference half of the contract.
+The vectorized executor runs every deterministic network from a cached
+:class:`~repro.ops.plans.MovementPlan`: over numeric key columns lowered
+once per operation (:mod:`repro.ops.vexec`), or, when a key cannot be
+lowered, by replaying the plan over the original object keys.  These
+tests pin the contract bit-exactly — values *and* the full
+simulated-charge snapshot must agree with the interpreted ``reference``
+executor on every topology, segmented and unsegmented, for sort, merge,
+scan and the route operations that ride on them, for every key family
+the lowering layer accepts, and on the refusal path, which must be
+observable: same results, ``vexec.fallbacks`` incremented in the shared
+registry.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.errors import OperationContractError
 from repro.machines import (
     ccc_machine,
     hypercube_machine,
@@ -26,11 +28,14 @@ from repro.machines import (
 from repro.ops import (
     bitonic_merge,
     bitonic_sort,
+    fill_backward,
     fill_forward,
     pack,
     parallel_prefix,
+    parallel_suffix,
+    permute,
     semigroup,
-    set_compiled_plans,
+    set_executor,
     vexec_stats,
 )
 from repro.ops.vexec import lower_keys
@@ -44,33 +49,31 @@ FACTORIES = {
     "shuffle-exchange": shuffle_exchange_machine,
 }
 
-EXECUTORS = ("vectorized", "compiled", "reference")
-
 N = 16
 
 
-def all_modes(run):
-    """Run ``run()`` under every executor; return ``{mode: result}``."""
+def assert_executors_agree(run):
+    """Run ``run()`` vectorized and interpreted; assert bit-identity.
+
+    ``run`` builds a fresh machine and returns ``(arrays, metrics)``
+    where ``arrays`` is a sequence of numpy arrays.  The interpreted
+    ``reference`` run is the semantic oracle.
+    """
     out = {}
-    for mode in EXECUTORS:
-        prev = set_compiled_plans(mode)
+    for mode in ("vectorized", "reference"):
+        prev = set_executor(mode)
         try:
             out[mode] = run()
         finally:
-            set_compiled_plans(prev)
-    return out
-
-
-def assert_all_identical(results):
-    base_mode = EXECUTORS[-1]  # reference: the semantic oracle
-    b_arrays, b_metrics = results[base_mode]
-    for mode, (arrays, metrics) in results.items():
-        assert len(arrays) == len(b_arrays)
-        for got, want in zip(arrays, b_arrays):
-            got, want = np.asarray(got), np.asarray(want)
-            assert got.dtype == want.dtype, mode
-            assert got.tolist() == want.tolist(), mode
-        assert sim_snapshot(metrics) == sim_snapshot(b_metrics), mode
+            set_executor(prev)
+    (arrays, metrics), (want_arrays, want_metrics) = \
+        out["vectorized"], out["reference"]
+    assert len(arrays) == len(want_arrays)
+    for got, want in zip(arrays, want_arrays):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+    assert sim_snapshot(metrics) == sim_snapshot(want_metrics)
 
 
 def _object_floats(rng, n):
@@ -100,6 +103,20 @@ def _duplicate_heavy(rng, n):
     return out
 
 
+def _fractions(values):
+    out = np.empty(len(values), dtype=object)
+    out[:] = [Fraction(int(v), 7) for v in values]
+    return out
+
+
+def _sorted_halves(values, seg):
+    """``values`` with every half-segment sorted (the merge premise)."""
+    halves = np.asarray(values).reshape(-1, seg // 2).tolist()
+    out = np.empty(len(values), dtype=object)
+    out[:] = [v for h in halves for v in sorted(h)]
+    return out
+
+
 KEY_FAMILIES = {
     "native_float": lambda rng, n: rng.uniform(-5, 5, n),
     "object_float": _object_floats,
@@ -122,7 +139,7 @@ class TestSortEquivalence:
             (k,), (t,) = bitonic_sort(m, keys, [tags])
             return (k, t), m.metrics
 
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
 
     def test_segmented_descending_sort(self, kind, family):
         rng = np.random.default_rng(11)
@@ -133,7 +150,44 @@ class TestSortEquivalence:
             (k,), _ = bitonic_sort(m, keys, segment_size=4, ascending=False)
             return (k,), m.metrics
 
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+@pytest.mark.parametrize("segment_size", [None, 4])
+@pytest.mark.parametrize("ascending", [True, False])
+class TestNetworkShapes:
+    def test_sort(self, kind, segment_size, ascending):
+        rng = np.random.default_rng(7)
+        keys = rng.uniform(-5, 5, N)
+        tags = np.arange(N)
+
+        def run():
+            m = FACTORIES[kind](N)
+            (k,), (t,) = bitonic_sort(
+                m, keys, [tags], segment_size=segment_size,
+                ascending=ascending,
+            )
+            return (k, t), m.metrics
+
+        assert_executors_agree(run)
+
+    def test_merge(self, kind, segment_size, ascending):
+        rng = np.random.default_rng(11)
+        seg = segment_size or N
+        keys = np.concatenate([
+            np.sort(rng.uniform(size=seg // 2))[:: 1 if ascending else -1]
+            for _ in range(2 * (N // seg))
+        ])
+
+        def run():
+            m = FACTORIES[kind](N)
+            (k,), _ = bitonic_merge(
+                m, keys, segment_size=segment_size, ascending=ascending
+            )
+            return (k,), m.metrics
+
+        assert_executors_agree(run)
 
 
 @pytest.mark.parametrize("kind", sorted(FACTORIES))
@@ -150,7 +204,7 @@ class TestMergeEquivalence:
             (k,), (t,) = bitonic_merge(m, keys, [tags])
             return (k, t), m.metrics
 
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
 
 
 @pytest.mark.parametrize("kind", sorted(FACTORIES))
@@ -165,7 +219,7 @@ class TestScanEquivalence:
             hi = semigroup(m, vals, np.maximum)
             return (lo, hi), m.metrics
 
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
 
     def test_semigroup_add_object(self, kind):
         rng = np.random.default_rng(19)
@@ -175,10 +229,10 @@ class TestScanEquivalence:
             m = FACTORIES[kind](N)
             return (semigroup(m, vals, np.add),), m.metrics
 
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
 
     def test_fill_and_pack_ride_along(self, kind):
-        # Fills/prefix are whole-array under every executor; pack rides on
+        # Fills/prefix are whole-array under both executors; pack rides on
         # them.  Pinned here so the executor switch can never skew them.
         rng = np.random.default_rng(23)
         vals = _object_floats(rng, N)
@@ -193,7 +247,58 @@ class TestScanEquivalence:
             (packed,), count = pack(m, keep, [vals])
             return (filled, pre, packed, np.asarray([count])), m.metrics
 
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+class TestScanRouteEquivalence:
+    def test_segmented_prefix_suffix(self, kind):
+        rng = np.random.default_rng(3)
+        vals = rng.integers(0, 9, N).astype(np.int64)
+        segments = np.zeros(N, dtype=bool)
+        segments[[0, 5, 11]] = True
+
+        def run():
+            m = FACTORIES[kind](N)
+            pre = parallel_prefix(m, vals, np.add, segments=segments)
+            suf = parallel_suffix(m, vals, np.add, segments=segments)
+            return (pre, suf), m.metrics
+
+        assert_executors_agree(run)
+
+    def test_semigroup_butterfly(self, kind):
+        vals = np.random.default_rng(5).uniform(size=N)
+
+        def run():
+            m = FACTORIES[kind](N)
+            return (semigroup(m, vals, np.minimum),), m.metrics
+
+        assert_executors_agree(run)
+
+    def test_fill_backward(self, kind):
+        vals = np.arange(N, dtype=float)
+        known = np.zeros(N, dtype=bool)
+        known[[2, 9, 14]] = True
+
+        def run():
+            m = FACTORIES[kind](N)
+            return (fill_backward(m, vals, known),), m.metrics
+
+        assert_executors_agree(run)
+
+    def test_pack_and_permute(self, kind):
+        rng = np.random.default_rng(13)
+        vals = rng.uniform(size=N)
+        keep = rng.uniform(size=N) < 0.5
+        dest = rng.permutation(N)
+
+        def run():
+            m = FACTORIES[kind](N)
+            (packed,), count = pack(m, keep, [vals])
+            (routed,) = permute(m, dest, [vals])
+            return (packed, np.asarray([count]), routed), m.metrics
+
+        assert_executors_agree(run)
 
 
 class TestMultiKey:
@@ -207,7 +312,39 @@ class TestMultiKey:
             (s1, s2), _ = bitonic_sort(m, [k1, k2])
             return (s1, s2), m.metrics
 
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
+
+
+class TestObjectKeys:
+    def test_multi_key_sort(self):
+        rng = np.random.default_rng(19)
+        k1 = rng.integers(0, 3, N)
+        k2 = rng.uniform(size=N)
+
+        def run():
+            m = mesh_machine(N)
+            (s1, s2), _ = bitonic_sort(m, [k1, k2])
+            return (s1, s2), m.metrics
+
+        assert_executors_agree(run)
+
+    def test_object_dtype_sort(self):
+        """The pre-oriented comparator must agree on object keys carrying
+        object (Polynomial) payloads."""
+        from numpy.polynomial import Polynomial
+
+        rng = np.random.default_rng(17)
+        coeffs = rng.integers(-3, 4, N)
+        keys = np.empty(N, dtype=object)
+        keys[:] = [float(c) for c in coeffs]
+        tags = np.array([Polynomial([c]) for c in coeffs], dtype=object)
+
+        def run():
+            m = hypercube_machine(N)
+            (k,), (t,) = bitonic_sort(m, keys, [tags])
+            return (k,), m.metrics
+
+        assert_executors_agree(run)
 
 
 class TestLowering:
@@ -224,8 +361,7 @@ class TestLowering:
         assert len(cols) == 2
 
     def test_refusals(self):
-        fractions = np.empty(N, dtype=object)
-        fractions[:] = [Fraction(i, 7) for i in range(N)]
+        fractions = _fractions(range(N))
         huge = np.empty(N, dtype=object)
         huge[:] = [i << 200 for i in range(N)]
         inexact = np.empty(N, dtype=object)
@@ -238,44 +374,86 @@ class TestLowering:
             assert lower_keys([arr]) is None, name
 
 
+def _nan_keys():
+    keys = np.empty(8, dtype=object)
+    keys[:] = [3.0, float("nan"), 1.0, 7.0, 2.0, 5.0, 0.0, 4.0]
+    return keys
+
+
+def _nan_tuples():
+    keys = np.empty(8, dtype=object)
+    keys[:] = [(i % 3, float("nan") if i == 5 else float(i))
+               for i in range(8)]
+    return keys
+
+
+def _nan_beside_fractions():
+    # The Fraction column refuses lowering first, so the NaN is found on
+    # the object-key replay path.
+    keys = np.empty(8, dtype=object)
+    keys[:] = [(Fraction(i, 3), float("nan") if i == 2 else 0.5)
+               for i in range(8)]
+    return keys
+
+
+@pytest.mark.usefixtures("plan_mode")
+class TestNaNKeys:
+    @pytest.mark.parametrize("build", [_nan_keys, _nan_tuples,
+                                       _nan_beside_fractions],
+                             ids=["scalar", "tuple", "tuple-unlowerable"])
+    @pytest.mark.parametrize("op", [bitonic_sort, bitonic_merge],
+                             ids=["sort", "merge"])
+    def test_object_nan_keys_are_rejected(self, build, op):
+        with pytest.raises(OperationContractError, match="NaN"):
+            op(hypercube_machine(8), build())
+
+    def test_randomized_sort_rejects_object_nan_keys(self):
+        with pytest.raises(OperationContractError, match="NaN"):
+            bitonic_sort(hypercube_machine(8, randomized=True), _nan_keys())
+
+
 class TestObservableFallback:
-    def test_non_lowerable_keys_fall_back_identically(self):
-        keys = np.empty(N, dtype=object)
-        keys[:] = [Fraction(3 * i % 11, 7) for i in range(N)]
+    @pytest.mark.parametrize("kind", sorted(FACTORIES))
+    @pytest.mark.parametrize("op", ["sort", "merge"])
+    @pytest.mark.parametrize("segment_size", [None, 4],
+                             ids=["unsegmented", "segmented"])
+    @pytest.mark.parametrize("ascending", [True, False],
+                             ids=["ascending", "descending"])
+    def test_non_lowerable_keys_fall_back_identically(
+            self, kind, op, segment_size, ascending):
+        values = [3 * i % 11 for i in range(N)]
         tags = np.arange(N)
+        if op == "sort":
+            keys, network = _fractions(values), bitonic_sort
+        else:
+            seg = segment_size or N
+            keys = _sorted_halves(_fractions(values), seg)
+            network = bitonic_merge
 
         def run():
-            m = hypercube_machine(N)
-            (k,), (t,) = bitonic_sort(m, keys, [tags])
+            m = FACTORIES[kind](N)
+            (k,), (t,) = network(m, keys, [tags], ascending=ascending,
+                                 segment_size=segment_size)
             return (k, t), m.metrics
 
         before = vexec_stats()
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
         after = vexec_stats()
-        # Exactly the one vectorized attempt refused; the compiled and
-        # reference runs never consult the lowering layer.
+        # Exactly the one vectorized attempt refused; the reference run
+        # never consults the lowering layer.
         assert after["fallbacks"] == before["fallbacks"] + 1
         assert after["lowered"] == before["lowered"]
 
     def test_fallback_visible_in_registry_snapshot(self):
-        keys = np.empty(N, dtype=object)
-        keys[:] = [Fraction(i, 3) for i in range(N)]
+        keys = _fractions(range(N))
         before = registry_snapshot().get("vexec.fallbacks", 0)
-        prev = set_compiled_plans("vectorized")
-        try:
-            bitonic_sort(mesh_machine(N), keys)
-        finally:
-            set_compiled_plans(prev)
+        bitonic_sort(mesh_machine(N), keys)
         snap = registry_snapshot()
         assert snap["vexec.fallbacks"] == before + 1
 
     def test_lowered_counter_advances(self):
         before = vexec_stats()["lowered"]
-        prev = set_compiled_plans("vectorized")
-        try:
-            bitonic_sort(mesh_machine(N), np.arange(N, dtype=float))
-        finally:
-            set_compiled_plans(prev)
+        bitonic_sort(mesh_machine(N), np.arange(N, dtype=float))
         assert vexec_stats()["lowered"] == before + 1
 
     def test_custom_semigroup_op_falls_back(self):
@@ -288,5 +466,5 @@ class TestObservableFallback:
             return (semigroup(m, vals, lifted),), m.metrics
 
         before = vexec_stats()["fallbacks"]
-        assert_all_identical(all_modes(run))
+        assert_executors_agree(run)
         assert vexec_stats()["fallbacks"] == before + 1

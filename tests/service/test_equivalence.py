@@ -28,9 +28,9 @@ def payload_bytes(resps):
 class TestDirectEquivalence:
     @pytest.mark.usefixtures("plan_mode")
     def test_batched_responses_match_per_query_driver_runs(self, serve):
-        # Satellite: under every data-movement executor (plan_mode), the
-        # batched service answers exactly what a fresh per-query driver
-        # run answers.  Thread workers inherit the ambient executor, so
+        # Under both data-movement executors (plan_mode), the batched
+        # service answers exactly what a fresh per-query driver run
+        # answers.  Thread workers share the process-wide executor, so
         # the direct baseline runs under the same one.
         reqs = mixed_stream()
         resps, _ = serve(reqs, shards=2)
@@ -54,7 +54,7 @@ class TestDirectEquivalence:
         reqs = mixed_stream()
         resps, _ = serve(reqs, shards=2)
         baselines = parallel_map(direct_item,
-                                 [(r, 64, None) for r in reqs], jobs=2)
+                                 [(r, 64) for r in reqs], jobs=2)
         assert [r.payload for r in resps] == baselines
 
 
@@ -94,18 +94,17 @@ class TestConfigurationInvariance:
         narrow = payload_bytes(serve(reqs, max_batch=1)[0])
         assert wide == narrow
 
-    def test_executor_pinning_under_process_workers_matches_direct(self):
-        # Process workers may pin a data-movement executor per run; the
-        # pinned service must agree with a direct run under that executor.
+    def test_process_workers_match_direct(self):
+        # A run in an isolated worker process answers exactly what an
+        # in-process direct run answers.
         req = request("steady_hull", kind="random", seed=2, n=5)
 
         async def go():
-            async with QueryService(shards=1, workers="process",
-                                    executor="reference") as svc:
+            async with QueryService(shards=1, workers="process") as svc:
                 return await svc.submit(req)
 
         resp = run_async(go())
-        assert resp.payload == direct_response(req, executor="reference")
+        assert resp.payload == direct_response(req)
 
 
 class TestCacheByteEquality:

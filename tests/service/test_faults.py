@@ -53,12 +53,10 @@ class TestSubmitValidation:
         assert run_async(go()).code == "not_started"
 
     def test_constructor_rejects_unknown_executor(self):
-        with pytest.raises(ValueError, match="executor"):
-            QueryService(executor="quantum")
-
-    def test_constructor_rejects_executor_pinning_on_threads(self):
-        with pytest.raises(ValueError, match="process workers"):
-            QueryService(executor="compiled", workers="thread")
+        # The executor is process-wide (set at the CLI edge), never a
+        # per-service knob.
+        with pytest.raises(TypeError, match="executor"):
+            QueryService(executor="vectorized")
 
     def test_inject_fault_validates_mode_and_worker_kind(self):
         svc = QueryService()

@@ -14,7 +14,7 @@ from repro.core.envelope import envelope_serial
 from repro.core.family import PolynomialFamily
 from repro.core.hull_membership import hull_membership_intervals
 from repro.core.steady import steady_hull
-from repro.ops.plans import set_compiled_plans
+from repro.ops.plans import get_executor, set_executor
 from repro.service import (
     FamilySpec,
     QueryRequest,
@@ -141,19 +141,18 @@ class TestRunKeyAndShard:
         full = request("envelope", kind="random", seed=0, n=4, op="min")
         at = request("envelope", kind="random", seed=0, n=4, op="min",
                      q="value_at", t=0.5)
-        assert run_key(full, 64, None) == run_key(at, 64, None)
+        assert run_key(full, 64) == run_key(at, 64)
 
     def test_run_parameters_split_the_run_key(self):
         a = request("envelope", kind="random", seed=0, n=4, op="min")
         b = request("envelope", kind="random", seed=0, n=4, op="max")
-        assert run_key(a, 64, None) != run_key(b, 64, None)
-        assert run_key(a, 64, None) != run_key(a, 16, None)
-        assert run_key(a, 64, None) != run_key(a, 64, "compiled")
+        assert run_key(a, 64) != run_key(b, 64)
+        assert run_key(a, 64) != run_key(a, 16)
 
     def test_shard_is_deterministic_and_in_range(self):
         for seed in range(20):
             req = request("steady_hull", kind="random", seed=seed, n=5)
-            key = run_key(req, 64, None)
+            key = run_key(req, 64)
             for n_shards in (1, 2, 3, 8):
                 s = shard_of(key, n_shards)
                 assert 0 <= s < n_shards
@@ -162,8 +161,7 @@ class TestRunKeyAndShard:
     def test_shard_depends_only_on_the_family(self):
         a = request("hull_membership", kind="random", seed=3, n=6, query=0)
         b = request("hull_membership", kind="random", seed=3, n=6, query=2)
-        assert shard_of(run_key(a, 64, None), 8) == \
-            shard_of(run_key(b, 16, "compiled"), 8)
+        assert shard_of(run_key(a, 64), 8) == shard_of(run_key(b, 16), 8)
 
 
 class TestRunDriverEncoding:
@@ -228,20 +226,24 @@ class TestResponsePayload:
                       q="value_at", t=0.75)
         entry = run_driver(req.algorithm, req.family, req.run_params(),
                            req.backend, 64)
-        a = response_payload(req, entry, machine_size=64, executor=None)
-        b = response_payload(req, entry, machine_size=64, executor=None)
+        a = response_payload(req, entry, machine_size=64)
+        b = response_payload(req, entry, machine_size=64)
         assert a == b
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert a["schema"] == "repro.service/1"
+        assert a["executor"] is None
 
     def test_direct_response_restores_the_ambient_executor(self):
-        prev = set_compiled_plans("vectorized")
+        # A direct run leaves the process-wide executor where the caller
+        # set it, and its payload does not depend on which one that is.
+        req = request("steady_hull", kind="random", seed=1, n=5)
+        want = direct_response(req)
+        prev = set_executor("reference")
         try:
-            direct_response(request("steady_hull", kind="random", seed=1,
-                                    n=5), executor="reference")
-            assert set_compiled_plans("vectorized") == "vectorized"
+            assert direct_response(req) == want
+            assert get_executor() == "reference"
         finally:
-            set_compiled_plans(prev)
+            set_executor(prev)
 
     def test_service_error_is_structured(self):
         err = ServiceError("worker_failed", "boom", {"shard": 3})

@@ -31,7 +31,6 @@ def req_seeded(seed, **kw):
 
 def plan(reqs, **kw):
     kw.setdefault("machine_size", 64)
-    kw.setdefault("executor", None)
     kw.setdefault("n_shards", 4)
     return plan_batches([pend(r) for r in reqs], **kw)
 
@@ -93,8 +92,8 @@ class TestPlanner:
             [(u.key, u.shard, u.size, u.dedup_hits) for u in b]
 
 
-def key_of(seed, machine_size=64, executor=None):
-    return run_key(req_seeded(seed), machine_size, executor)
+def key_of(seed, machine_size=64):
+    return run_key(req_seeded(seed), machine_size)
 
 
 class TestShardedResultCache:
@@ -171,7 +170,7 @@ class TestShardedResultCache:
         req = req_seeded(3)
         entry = run_driver(req.algorithm, req.family, req.run_params(),
                            req.backend, 64)
-        k = run_key(req, 64, None)
+        k = run_key(req, 64)
         cache.put(k, entry)
         cache.put(key_of(99), {"v": "displacer"})   # evicts the entry
         assert cache.get(k) is None

@@ -40,15 +40,11 @@ def test_wallclock_smoke(tmp_path):
     # The envelope sweep specifically must retain a clear win over seed:
     # losing the batched/cached fast path drops this to ~1x.
     assert results["workloads"]["envelope"]["speedup"] >= 1.5
-    # Neither fast executor may be a pessimisation on the acceptance
-    # workload.  Noise-aware (1.25x + 10 ms): smoke workloads run in tens
-    # of milliseconds, where a plain ratio reads measurement grain as
-    # signal — the large tier is where executor speedups are asserted.
+    # The vectorized executor may not be a pessimisation on the
+    # acceptance workload.  Noise-aware (1.25x + 10 ms): smoke workloads
+    # run in tens of milliseconds, where a plain ratio reads measurement
+    # grain as signal.
     env = results["workloads"]["envelope"]
-    assert within_noise(env["compiled_seconds"], env["plan_off_seconds"]), (
-        f"envelope: compiled {env['compiled_seconds']:.4f}s slower than "
-        f"interpreted {env['plan_off_seconds']:.4f}s"
-    )
     assert within_noise(env["seconds"], env["plan_off_seconds"]), (
         f"envelope: vectorized {env['seconds']:.4f}s slower than "
         f"interpreted {env['plan_off_seconds']:.4f}s"
