@@ -39,7 +39,8 @@ import numpy as np
 
 from ..errors import OperationContractError
 from ..kinetics.piecewise import INF, Piece, PiecewiseFunction
-from ..machines.machine import Machine, MachineGroup
+from ..machines.machine import Machine, MachineGroup, charge_schedule
+from ..machines.metrics import schedule_time
 from ..machines.topology import (
     CCCTopology,
     HypercubeTopology,
@@ -57,7 +58,7 @@ from ..ops import (
     unpack_lists,
 )
 from ..ops._common import next_pow2
-from ..trace.tracer import trace_span
+from ..trace.tracer import trace_span, tracing_enabled
 from .family import CurveFamily
 
 __all__ = [
@@ -616,12 +617,13 @@ def envelope_on(machines: Iterable[Machine], fns: Sequence,
 
     The envelope's pieces depend on the curves alone; a machine decides
     only the charges.  So the Theorem 3.2 combine tree is built once,
-    recording each combine's shape, and every machine is then charged by
-    replaying those shapes through its own sub-machines, in the order a
-    solo :func:`envelope` run charges them.  Each machine's metrics (and,
-    under a tracer, its ``envelope`` span tree) equal a solo run's.  Host
-    time of the shared geometry is attributed to the first machine, under
-    ``cross``.
+    recording each combine's shape, and every machine is then charged
+    level by level, as the theorem counts: each level adds the slowest
+    sibling's memoised combine schedule (:func:`_charge_tree`).  Under a
+    tracer each combine is replayed on its own sub-machine instead, so its
+    phase spans open.  Each machine's metrics (and, under a tracer, its
+    ``envelope`` span tree) equal a solo run's.  Host time of the shared
+    geometry is attributed to the first machine, under ``cross``.
 
     With the fast combine off (``set_fast_combine(False)``) every machine
     runs every combine through the reference array path instead.
@@ -638,20 +640,64 @@ def envelope_on(machines: Iterable[Machine], fns: Sequence,
         return out
     with machines[0].metrics.host_time("cross"):
         out, tree = _envelope_geometry(level, family, op)
+    charge_tree = _charge_tree_traced if tracing_enabled() else _charge_tree
     for machine in machines:
         with trace_span("envelope", machine.metrics, category="driver",
                         n=len(level), op=op):
             # Step 1 of Theorem 3.2: distribute the descriptions (a route).
             machine.monotone_route(next_pow2(len(level)))
-            for combines in tree:
-                branch_metrics = []
-                for length, shape in combines:
-                    sub = _substring_machine(machine, length)
-                    if shape is not None:
-                        sub.replay(_combine_charges, family.s, *shape)
-                    branch_metrics.append(sub.metrics)
-                _absorb_parallel(machine, branch_metrics)
+            charge_tree(machine, tree, family.s)
     return out
+
+
+def _charge_tree(machine: Machine, tree: list, s: int) -> None:
+    """Charge the combine tree level by level: each level adds its
+    slowest combine's memoised schedule (every combine's on the serial
+    machine, which has no parallelism across siblings).
+
+    Each combine runs on a substring of ``machine`` (see
+    :func:`_substring_machine`); its schedule is looked up under that
+    sub-machine's signature, and a sub-machine is built only to record a
+    missing one.  The metrics end up exactly as :func:`_absorb_parallel`
+    of replayed sub-machines leaves them.
+    """
+    serial = isinstance(machine.topology, SerialTopology)
+    metrics = machine.metrics
+    sigs: dict[int, tuple] = {}  # sub-machine signature by combine length
+    for combines in tree:
+        worst, worst_time = None, -1.0
+        for length, shape in combines:
+            if shape is None:
+                schedule: tuple = ()
+            else:
+                sig = sigs.get(length)
+                if sig is None:
+                    sig = sigs[length] = _substring_sig(machine, length)
+                schedule = charge_schedule(
+                    sig, _combine_charges, (s, *shape),
+                    lambda length=length: _substring_machine(machine, length))
+            if serial:
+                metrics.absorb_schedule(schedule)
+                continue
+            time = schedule_time(schedule)
+            if time > worst_time:  # the first slowest, as max() picks
+                worst, worst_time = schedule, time
+        if worst is not None:
+            metrics.absorb_schedule(worst)
+
+
+def _charge_tree_traced(machine: Machine, tree: list, s: int) -> None:
+    """:func:`_charge_tree` through real sub-machines, so each combine's
+    ``merge``/``scan``/``cross``/``pack``/``fuse`` spans open under the
+    installed tracer with that combine's own charges."""
+    for combines in tree:
+        branch_metrics = []
+        for length, shape in combines:
+            sub = _substring_machine(machine, length)
+            if shape is not None:
+                sub.replay(_combine_charges, s, *shape)
+            branch_metrics.append(sub.metrics)
+        _absorb_parallel(machine, branch_metrics)
 
 
 def _envelope_geometry(level: list[PiecewiseFunction], family: CurveFamily,
@@ -711,17 +757,28 @@ def _substring_machine(machine: Machine, length: int) -> Machine:
     recursive-decomposability property of Figure 2 / Section 2.3 — so a
     sibling merge is modelled by a sub-machine of the parent's kind.
     """
+    kind, n_pe, scheme = _substring_sig(machine, length)
+    if kind is SerialTopology:
+        return Machine(SerialTopology())
+    if kind is MeshTopology:
+        return Machine(MeshTopology(n_pe, scheme))
+    return Machine(kind(n_pe))
+
+
+def _substring_sig(machine: Machine, length: int) -> tuple:
+    """The signature (``Machine._sig``) of :func:`_substring_machine`'s
+    result, derived without building it."""
     top = machine.topology
     size = min(machine.n_pe, next_pow2(length))
     if isinstance(top, MeshTopology):
         exp = (size.bit_length()) // 2  # next power of four >= size
-        return Machine(MeshTopology(max(4, 4**exp), top.scheme))
+        return (MeshTopology, max(4, 4**exp), top.scheme)
     if isinstance(top, (HypercubeTopology, CCCTopology,
                         ShuffleExchangeTopology)):
-        return Machine(type(top)(max(2, size)))
+        return (type(top), max(2, size), None)
     if isinstance(top, PRAMTopology):
-        return Machine(PRAMTopology(max(1, size)))
-    return Machine(SerialTopology())
+        return (PRAMTopology, max(1, size), None)
+    return (SerialTopology, 1, None)
 
 
 def _absorb_parallel(machine: Machine, branches) -> None:

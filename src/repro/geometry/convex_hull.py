@@ -38,6 +38,38 @@ def _chain(points: list, idx: list[int]) -> list[int]:
     return out
 
 
+def _extend_chain(points: list, out: list[int], chain: list[int]) -> list[int]:
+    """Continue :func:`_chain`'s scan from the stack ``out`` over the
+    vertices of another group's chain, in place.
+
+    Every consecutive triple of a chain passed the strict-turn test when
+    the chain was built, so once two consecutive ``chain`` vertices top
+    the stack the scan would pop nothing more: the rest of ``chain`` is
+    appended as is, and the scan costs only the tests up to the tangent.
+    """
+    for k, i in enumerate(chain):
+        while len(out) >= 2 and orientation(
+            points[out[-2]], points[out[-1]], points[i]
+        ) <= 0:
+            out.pop()
+        out.append(i)
+        if k and out[-2] == chain[k - 1]:
+            out.extend(chain[k + 1:])
+            break
+    return out
+
+
+def _hull_of_chains(lower: list[int], upper: list[int]) -> list[int]:
+    """The CCW extreme points from a lower chain (scanned by increasing
+    ``(x, y)``) and an upper chain (scanned by decreasing ``(x, y)``)
+    over the same deduplicated points."""
+    if len(lower) == 1:
+        return lower  # one distinct point
+    if len(lower) == 2 and lower == upper[::-1]:
+        return lower  # all points collinear: the two endpoints
+    return lower[:-1] + upper[:-1]
+
+
 def convex_hull(points) -> list[int]:
     """Indices of the extreme points of ``hull(points)``, CCW order.
 
@@ -53,13 +85,7 @@ def convex_hull(points) -> list[int]:
     for i in order[1:]:
         if tuple(pts[i]) != tuple(pts[uniq[-1]]):
             uniq.append(i)
-    if len(uniq) == 1:
-        return [uniq[0]]
-    lower = _chain(pts, uniq)
-    upper = _chain(pts, uniq[::-1])
-    if len(lower) == 2 and lower == upper[::-1]:
-        return lower  # all points collinear: the two endpoints
-    return lower[:-1] + upper[:-1]
+    return _hull_of_chains(_chain(pts, uniq), _chain(pts, uniq[::-1]))
 
 
 def hull_contains(points, hull_idx: list[int], q) -> bool:
@@ -90,7 +116,9 @@ def convex_hull_parallel(machine: Machine, points) -> list[int]:
     their sub-hulls: a broadcast of the partition boundary, a merge of the
     two x-sorted vertex runs, the common-tangent computation (a semigroup +
     Theta(1) local rounds), and a pack of surviving vertices.  Sibling
-    merges are simultaneous, so each level is charged once.
+    merges are simultaneous, so each level is charged once.  On the host a
+    merge scans the two groups' hull chains to their common tangents, not
+    their points (:func:`_stitch`).
     """
     pts = list(points)
     if not pts:
@@ -111,11 +139,13 @@ def convex_hull_parallel(machine: Machine, points) -> list[int]:
         (_, _, order), _ = bitonic_sort(machine, [xs, ys, np.arange(length)])
     order = [int(i) for i in order if i < n]
 
-    # Merge levels: groups of size g combine pairwise.
-    groups = [[i] for i in order]
+    # Merge levels: groups combine pairwise.  A group is its (lower,
+    # upper) chain pair; its hull size sets the level's string length.
+    groups = [([i], [i]) for i in order]
     while len(groups) > 1:
         merged = []
-        level_len = max(2, next_pow2(2 * max(len(g) for g in groups)))
+        level_len = max(2, next_pow2(2 * max(
+            len(_hull_of_chains(*g)) for g in groups)))
         with machine.phase("hull-merge"):
             # One simultaneous round of: boundary broadcast, vertex-run
             # merge, tangent semigroup, and pack — charged once per level.
@@ -126,10 +156,31 @@ def convex_hull_parallel(machine: Machine, points) -> list[int]:
             machine.local(level_len)
             pack(machine, np.ones(level_len, dtype=bool), [np.zeros(level_len)])
         for a, b in zip(groups[::2], groups[1::2]):
-            union = a + b
-            sub = convex_hull([pts[i] for i in union])
-            merged.append([union[j] for j in sub])
+            merged.append(_stitch(pts, a, b))
         if len(groups) % 2:
             merged.append(groups[-1])
         groups = merged
-    return groups[0]
+    return _hull_of_chains(*groups[0])
+
+
+def _stitch(pts: list, a: tuple, b: tuple) -> tuple:
+    """Merge the chains of two x-separated groups, ``a`` sorting first.
+
+    Every point of ``a`` precedes every point of ``b`` in ``(x, y,
+    index)`` order, so Andrew's scan over the union visits ``a``'s points
+    and then ``b``'s: the lower chain continues ``a``'s stack with
+    ``b``'s chain, and the upper chain (scanned right to left) continues
+    ``b``'s stack with ``a``'s.  Only chain vertices can be extreme in the
+    union, so (with consistent orientation tests) this is
+    :func:`convex_hull` of the union, vertex order included, at the cost
+    of a scan to the common tangent rather than a re-sort and re-scan of
+    every point.
+    A point in both groups (``a``'s last equal to ``b``'s first) keeps
+    ``a``'s copy, the first in sorted order, as the oracle's dedupe does.
+    """
+    a_lower, a_upper = a
+    b_lower, b_upper = b
+    dup = tuple(pts[a_lower[-1]]) == tuple(pts[b_lower[0]])
+    lower = _extend_chain(pts, list(a_lower), b_lower[1:] if dup else b_lower)
+    upper = _extend_chain(pts, b_upper[:-1] if dup else list(b_upper), a_upper)
+    return lower, upper

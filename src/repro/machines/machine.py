@@ -42,15 +42,17 @@ from .topology import (
     Topology,
 )
 
-__all__ = ["Machine", "MachineGroup", "mesh_machine", "hypercube_machine",
-           "ccc_machine", "shuffle_exchange_machine", "pram_machine",
-           "serial_machine"]
+__all__ = ["Machine", "MachineGroup", "charge_schedule", "mesh_machine",
+           "hypercube_machine", "ccc_machine", "shuffle_exchange_machine",
+           "pram_machine", "serial_machine"]
 
 
 #: Charge parameters are pure functions of (topology kind, size, scheme,
 #: operation length), so they are memoised ACROSS machine instances — the
-#: envelope recursion creates a fresh sub-machine per combine, which would
-#: defeat per-instance caches.  Values are small tuples of floats/ints.
+#: envelope recursion charges each combine as a sub-machine of its own
+#: signature, which per-instance caches would not serve.  Values are small
+#: tuples of floats/ints and the recorded schedules of
+#: :func:`charge_schedule`.
 _CHARGE_CACHE: dict = {}
 
 #: Bound on cached charge signatures.  A run touches a few hundred
@@ -81,6 +83,26 @@ def _charge_cache_put(key: tuple, value: _T) -> _T:
         _CHARGE_CACHE.clear()
     _CHARGE_CACHE[key] = value
     return value
+
+
+def charge_schedule(sig: tuple, charges: Callable[..., Iterator[str | None]],
+                    params: tuple, machine: Callable[[], Machine]) -> tuple:
+    """The memoised schedule of ``charges(m, *params)`` on any machine
+    ``m`` whose signature (``Machine._sig``) is ``sig``.
+
+    A hit is one lookup in the bounded ``_CHARGE_CACHE``; only a miss
+    calls ``machine()`` for a machine of that signature to record on (see
+    :meth:`Machine.replay`).  The schedule is a tuple of per-phase
+    segments for :meth:`Metrics.replay
+    <repro.machines.metrics.Metrics.replay>` or :meth:`Metrics.absorb_schedule
+    <repro.machines.metrics.Metrics.absorb_schedule>`.
+    """
+    key = (charges, sig, params)
+    schedule = _CHARGE_CACHE.get(key)
+    if schedule is None:
+        m = machine()
+        schedule = _charge_cache_put(key, m._record(charges(m, *params)))
+    return schedule
 
 
 def clear_machine_caches() -> None:
@@ -142,11 +164,8 @@ class Machine:
         ``_CHARGE_CACHE`` and every later call adds them with
         :meth:`Metrics.replay <repro.machines.metrics.Metrics.replay>`.
         """
-        key = (charges, self._sig, params)
-        schedule = _CHARGE_CACHE.get(key)
-        if schedule is None:
-            schedule = _charge_cache_put(key, self._record(charges(self, *params)))
-        self.metrics.replay(schedule)
+        self.metrics.replay(
+            charge_schedule(self._sig, charges, params, lambda: self))
 
     def _record(self, steps: Iterator[str | None]) -> tuple:
         """Run a charge generator against one scratch accumulator per

@@ -29,7 +29,7 @@ from time import perf_counter
 from typing import Any, Iterator, Protocol
 
 __all__ = ["Metrics", "global_wall_phases", "reset_global_wall_phases",
-           "set_trace_hook"]
+           "schedule_time", "set_trace_hook"]
 
 class PhaseHook(Protocol):
     """Structural type of the span-trace hook (``repro.trace.tracer``)."""
@@ -73,6 +73,16 @@ def global_wall_phases() -> dict:
 
 def reset_global_wall_phases() -> None:
     _GLOBAL_WALL_PHASES.clear()
+
+
+def schedule_time(schedule: tuple) -> float:
+    """The simulated time a fresh accumulator has after replaying
+    ``schedule`` (see :meth:`Metrics.replay`)."""
+    time = 0.0
+    for seg in schedule:
+        if seg[2]:
+            time += seg[1]
+    return time
 
 
 @dataclass
@@ -220,6 +230,36 @@ class Metrics:
                     self.phases[label] += time
             if span is not None:
                 hook.end_phase(span)
+
+    def absorb_schedule(self, schedule: tuple) -> None:
+        """Add a schedule's charges the way a sub-machine's are absorbed.
+
+        Equals :meth:`absorb_sim` of a fresh accumulator that replayed
+        ``schedule``: a fresh accumulator has no open phase, so labelled
+        segments go to their phase and unlabelled ones to *no* phase, not
+        to one open here.  No sub-machine is built and no span is opened
+        (an untraced envelope level charges its slowest combine this
+        way).
+        """
+        time = comm_time = 0.0
+        rounds = comm_rounds = local_rounds = 0
+        phases: dict[str, float] = {}
+        for label, t, r, ct, cr, lr in schedule:
+            if r:
+                time += t
+                rounds += r
+                comm_time += ct
+                comm_rounds += cr
+                local_rounds += lr
+                if label is not None:
+                    phases[label] = phases.get(label, 0.0) + t
+        self.time += time
+        self.rounds += rounds
+        self.comm_time += comm_time
+        self.comm_rounds += comm_rounds
+        self.local_rounds += local_rounds
+        for k, v in phases.items():
+            self.phases[k] += v
 
     # ------------------------------------------------------------------
     # Absorbing sub-machine accumulators

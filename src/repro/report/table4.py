@@ -30,6 +30,13 @@ def circle(n: int, seed: int = 0):
             for i in range(n)]
 
 
+def circle_polygon(n: int, seed: int = 0):
+    """The convex polygon of :func:`circle`'s points: its hull, in CCW
+    order (the jitter leaves some points inside once ``n`` is large)."""
+    pts = circle(n, seed)
+    return [pts[i] for i in convex_hull(pts)]
+
+
 def sweep_on(fn, machine_factories, pts_fn) -> list[list[float]]:
     """Simulated time per factory and size: each point set is built once
     and run once on a :class:`MachineGroup` of the factories' machines."""
@@ -74,7 +81,8 @@ def rows() -> list[list]:
     ap = serial_antipodal_ops()
     out.append(["antipodal vertices", "serial", f"{ap[-1]:.0f}",
                 power_fit(SIZES, ap).describe() + " (target n log n)"])
-    er_cube = sweep(enclosing_rectangle_parallel, hypercube_machine, circle)
+    er_cube = sweep(enclosing_rectangle_parallel, hypercube_machine,
+                    circle_polygon)
     out.append(["min encl. rectangle", "hypercube", f"{er_cube[-1]:.0f}",
                 f"(log n)^{polylog_fit(SIZES, er_cube):.2f}"])
     return out

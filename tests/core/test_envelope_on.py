@@ -249,6 +249,69 @@ class TestReplayMatchesReferencePath:
                 runs[fast] = (_pieces(out), _sim(m))
             assert runs[True] == runs[False], name
 
+    @pytest.mark.parametrize("kind", ["random", "tie"])
+    @pytest.mark.parametrize("partial", [False, True], ids=["total", "partial"])
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_whole_tree_charges_equal_array_charges(self, op, partial, kind):
+        # The level-wise charges of the full combine tree, not one combine.
+        fns = make_curves(kind, seed=21, n=11, s=2)
+        if partial:
+            fns = _partial(fns, seed=21)
+        fam = PolynomialFamily(2)
+        for name, mk in MACHINES.items():
+            runs = {}
+            for fast in (True, False):
+                prev = envelope_module.set_fast_combine(fast)
+                try:
+                    m = mk()
+                    out = envelope(m, fns, fam, op=op)
+                    # Nested: the combines' unlabelled charges must not
+                    # land in the caller's open phase.
+                    with m.phase("outer"):
+                        envelope(m, fns[::-1], fam, op=op)
+                finally:
+                    envelope_module.set_fast_combine(prev)
+                runs[fast] = (_pieces(out), _sim(m))
+            assert runs[True] == runs[False], name
+
+    def test_untraced_levels_build_no_sub_machine_once_recorded(
+            self, monkeypatch):
+        fns = make_curves("random", seed=8, n=12, s=2)
+        fam = PolynomialFamily(2)
+        envelope_on([mk() for mk in MACHINES.values()], fns, fam)
+        built = []
+        real = envelope_module._substring_machine
+        monkeypatch.setattr(envelope_module, "_substring_machine",
+                            lambda m, length: built.append(length)
+                            or real(m, length))
+        envelope_on([mk() for mk in MACHINES.values()], fns, fam)
+        assert built == []
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["ab", "ba"])
+    def test_level_tie_charges_the_first_slowest_combine(self, order):
+        # Two combines of one level with equal time but different phase
+        # splits: the level charges the first, as max() over sub-machines.
+        level = [(16, (16, 4, 1, 1, False)), (16, (16, 4, 4, 3, True))]
+        level = level[::order]
+        times = set()
+        for length, shape in level:
+            sub = envelope_module._substring_machine(mesh_machine(64), length)
+            sub.replay(envelope_module._combine_charges, 2, *shape)
+            times.add(sub.metrics.time)
+        assert len(times) == 1
+        fast, via_subs = mesh_machine(64), mesh_machine(64)
+        envelope_module._charge_tree(fast, [level], 2)
+        envelope_module._charge_tree_traced(via_subs, [level], 2)
+        assert _sim(fast) == _sim(via_subs)
+
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_substring_sig_is_the_sub_machines(self, name):
+        machine = MACHINES[name]()
+        for length in (1, 3, 4, 17, 64, 100, 4096):
+            sub = envelope_module._substring_machine(machine, length)
+            assert (envelope_module._substring_sig(machine, length)
+                    == sub._sig), length
+
     def test_memo_stays_bounded_over_many_shapes(self):
         cap = machine_mod._CHARGE_CACHE_CAP
         shapes = [(s, max_per) for s in range(cap // 8 + 8)

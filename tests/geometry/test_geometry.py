@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.steady.reduction import steady_points
 from repro.errors import DegenerateSystemError
 from repro.geometry import (
     antipodal_pairs,
@@ -28,7 +29,10 @@ from repro.geometry import (
     rectangle_corners,
     sign_of,
 )
+from repro.geometry.rectangle import _enclosing_rectangle_scan
 from repro.machines import hypercube_machine, mesh_machine
+from repro.report.table4 import SIZES, circle, circle_polygon
+from repro.verify.generators import SYSTEM_KINDS, make_system
 
 # Grid-quantised coordinates: avoids denormal-scale inputs whose cross
 # products underflow double precision (a float artifact, not an algorithm
@@ -50,6 +54,70 @@ def circle_points(n, r=10.0, jitter=0.0, seed=0):
         rr = r + (rng.uniform(-jitter, jitter) if jitter else 0.0)
         out.append((rr * math.cos(th), rr * math.sin(th)))
     return out
+
+
+def steady_point_sets(kind):
+    """Steady-state points of one system generator, k = 1 and k = 2."""
+    return [steady_points(make_system(kind, seed, n=n, k=k))
+            for k in (1, 2) for seed in range(3) for n in (5, 12, 30)]
+
+
+#: Point sets on which the parallel hull must return the serial hull's
+#: exact vertex order.
+HULL_CASES = {
+    "random": lambda: [rand_points(33, seed) for seed in range(4)],
+    "duplicates": lambda: [
+        [(i % 3, i % 2) for i in range(12)],
+        [(i % 4, i % 3) for i in range(21)] + [(0, 0)] * 3,
+        [p for p in rand_points(10, 5) for _ in range(3)],
+    ],
+    "collinear": lambda: [
+        [(i, 2 * i) for i in range(9)],
+        [(0, i % 5) for i in range(11)],
+        [(float(i % 4), 1.0) for i in range(13)],
+    ],
+    "single-point": lambda: [[(5, 5)], [(1.5, -2.0)] * 6],
+    "circle": lambda: [circle_points(n, seed=n) for n in (7, 16, 50)]
+    + [circle(n, seed=n) for n in SIZES[:2]],
+    **{f"steady-{kind}": (lambda kind=kind: steady_point_sets(kind))
+       for kind in sorted(SYSTEM_KINDS)},
+}
+
+
+def hull_polygons(point_sets):
+    """The CCW hull polygon of each point set with at least 3 vertices."""
+    polys = ([pts[i] for i in convex_hull(pts)] for pts in point_sets)
+    return [poly for poly in polys if len(poly) >= 3]
+
+
+def rotations(poly):
+    return [poly[r:] + poly[:r] for r in range(len(poly))]
+
+
+def parallel_edge_polygons():
+    """Square, hexagon and octagon, regular (float) and with exactly
+    parallel opposite edges (integer), so supports tie; every rotation
+    puts a tie across the wrap to vertex 0."""
+    exact = [[(0, 0), (2, 0), (2, 2), (0, 2)],
+             [(0, 0), (2, 0), (3, 1), (2, 2), (0, 2), (-1, 1)],
+             [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)]]
+    regular = [[(math.cos(2 * math.pi * i / m), math.sin(2 * math.pi * i / m))
+                for i in range(m)] for m in (4, 6, 8)]
+    return [rot for poly in exact + regular for rot in rotations(poly)]
+
+
+#: Convex polygons on which the calipers must return the scan's supports.
+#: (Crossing traffic is left out: its steady hull is a segment.)
+RECTANGLE_CASES = {
+    "random-hulls": lambda: hull_polygons(
+        rand_points(3 + seed % 57, seed) for seed in range(60)),
+    "table4-circles": lambda: hull_polygons(
+        circle(n, seed=n) for n in SIZES) + [circle_polygon(n) for n in SIZES],
+    "parallel-edges": parallel_edge_polygons,
+    **{f"steady-{kind}": (lambda kind=kind: hull_polygons(
+        steady_point_sets(kind)))
+       for kind in sorted(SYSTEM_KINDS) if kind != "crossing"},
+}
 
 
 class TestOrientation:
@@ -134,15 +202,15 @@ class TestConvexHull:
         for p in pts:
             assert hull_contains(pts, hull, p)
 
-    def test_parallel_matches_serial(self):
-        for seed in range(4):
-            pts = rand_points(33, seed)
-            want = sorted(convex_hull(pts))
+    @pytest.mark.parametrize("case", list(HULL_CASES))
+    def test_parallel_matches_serial(self, case):
+        # The exact vertex list, order included, not just the vertex set.
+        for pts in HULL_CASES[case]():
+            want = convex_hull(pts)
             for mk in (mesh_machine, hypercube_machine):
                 m = mk(64)
-                got = sorted(convex_hull_parallel(m, pts))
-                assert got == want
-                assert m.metrics.time > 0
+                assert convex_hull_parallel(m, pts) == want
+                assert m.metrics.time > 0 or len(pts) == 1
 
     @pytest.mark.usefixtures("plan_mode")
     @pytest.mark.parametrize("randomized", [False, True])
@@ -274,6 +342,18 @@ class TestEnclosingRectangle:
             area = (proj.max() - proj.min()) * (h.max() - h.min())
             best = min(best, area)
         return best
+
+    @pytest.mark.parametrize("case", list(RECTANGLE_CASES))
+    def test_calipers_match_scan(self, case):
+        # Every field, the tie-broken support indices included.
+        polys = RECTANGLE_CASES[case]()
+        assert polys
+        for poly in polys:
+            got = enclosing_rectangle(poly)
+            want = _enclosing_rectangle_scan(poly)
+            for field in ("edge", "far", "left", "right", "area_num",
+                          "len2_den"):
+                assert getattr(got, field) == getattr(want, field), field
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute(self, seed):

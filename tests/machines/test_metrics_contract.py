@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machines.metrics import Metrics
+from repro.machines.metrics import Metrics, schedule_time
 
 #: The documented partition (see the comment block above ``absorb_sim``).
 SIM_FIELDS = {"time", "rounds", "comm_time", "comm_rounds", "local_rounds",
@@ -72,6 +72,29 @@ def test_absorb_is_sim_plus_wall():
     via_parts.absorb_wall(src)
     assert via_absorb.snapshot() == via_parts.snapshot()
     assert via_absorb.snapshot()["time"] == src.time
+
+
+#: A recorded schedule: an unlabelled stretch, two phases (one repeated)
+#: and an empty labelled segment, as ``Machine._record`` produces them.
+_SCHEDULE = ((None, 3.0, 2, 2.0, 1, 1), ("merge", 5.0, 3, 4.0, 2, 1),
+             ("scan", 0.0, 0, 0.0, 0, 0), (None, 1.0, 1, 0.0, 0, 1),
+             ("merge", 2.0, 1, 2.0, 1, 0))
+
+
+def test_absorb_schedule_is_absorb_sim_of_a_fresh_replay():
+    fresh = Metrics()
+    fresh.replay(_SCHEDULE)
+    assert schedule_time(_SCHEDULE) == fresh.time
+    via_sub, direct = Metrics(), Metrics()
+    # The caller's open phase gets no unlabelled charge: a fresh
+    # sub-machine had no phase open when it replayed the schedule.
+    with via_sub.phase("outer"), direct.phase("outer"):
+        via_sub.absorb_sim(fresh)
+        direct.absorb_schedule(_SCHEDULE)
+    for name in SIM_FIELDS:
+        assert getattr(direct, name) == getattr(via_sub, name), name
+    assert list(direct.phases.items()) == list(via_sub.phases.items())
+    assert "outer" not in direct.phases
 
 
 def test_snapshot_round_trips_every_field():
