@@ -36,7 +36,6 @@ from pathlib import Path
 
 from .baseline import BaselineError, load_baseline, write_baseline
 from .engine import package_base, run_check
-from .flow import PROGRAM_RULES
 from .rules import RULES
 from .sarif import to_sarif
 
@@ -147,7 +146,7 @@ def _dedupe(reports) -> None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     if args.list_rules:
-        for rid, rule in sorted({**RULES, **PROGRAM_RULES}.items()):
+        for rid, rule in sorted(RULES.items()):
             print(f"{rid} {rule.name}: {rule.summary}")
         return 0
     fmt = args.fmt or ("json" if args.as_json else "text")
@@ -162,8 +161,7 @@ def main(argv=None) -> int:
         print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
     select = args.select.split(",") if args.select else None
-    known = set(RULES) | set(PROGRAM_RULES)
-    unknown = sorted(set(select or ()) - known)
+    unknown = sorted(set(select or ()) - set(RULES))
     if unknown:
         print(f"error: unknown rule(s): {', '.join(unknown)} "
               f"(see --list-rules)", file=sys.stderr)

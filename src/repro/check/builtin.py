@@ -16,4 +16,3 @@ from . import rules_incremental  # noqa: F401  RPR008 event-queue determinism
 from . import rules_obs      # noqa: F401  RPR009 telemetry hygiene
 from .flow import rules_async  # noqa: F401  RPR010/RPR011 async races
 from .flow import rules_procs  # noqa: F401  RPR012 cross-process state
-from .flow import rules_taint  # noqa: F401  RPR001/RPR002 flow upgrades

@@ -1,11 +1,11 @@
 """Walk a tree, run the rules, apply suppressions and baseline.
 
 The engine is deliberately dumb: it parses every ``*.py`` under the root
-with :mod:`ast`, hands each file to the registered rules, runs the
-whole-program rules (:mod:`repro.check.flow`) over all files at once,
-then filters the raw findings through the two suppression channels
-(inline ``noqa`` comments, then the baseline file).  All policy lives in
-:mod:`repro.check.policy`; all judgement lives in the rules.
+with :mod:`ast`, runs the registered rules' file clauses over each file
+and their whole-program clauses (:mod:`repro.check.flow`) over all files
+at once, then filters the raw findings through the two suppression
+channels (inline ``noqa`` comments, then the baseline file).  All policy
+lives in :mod:`repro.check.policy`; all judgement lives in the rules.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 from . import builtin  # noqa: F401  (registers the RPR rules on import)
 from .baseline import apply_baseline
 from .findings import Finding
-from .flow import PROGRAM_RULES, build_program, run_program_rules
+from .flow import build_program, run_program_rules
 from .policy import DEFAULT_POLICY, CheckPolicy
 from .rules import RULES, FileContext, run_rules
 from .suppress import MALFORMED_RULE, parse_suppressions
@@ -61,9 +61,7 @@ class CheckReport:
             "findings": [f.to_dict() for f in sorted(self.findings)],
             "stale_baseline": self.stale_baseline,
             "parse_errors": self.parse_errors,
-            "rules": {rid: r.describe()
-                      for rid, r in sorted({**RULES,
-                                            **PROGRAM_RULES}.items())},
+            "rules": {rid: r.describe() for rid, r in sorted(RULES.items())},
         }
 
     def render(self, *, show_suppressed: bool = False) -> str:
@@ -112,16 +110,6 @@ def package_base(root: Path) -> Path:
     return cur
 
 
-def check_file(path: Path, rel: str, policy: CheckPolicy,
-               select=None) -> list[Finding]:
-    """Run the rules over one file and apply its inline suppressions."""
-    source = path.read_text()
-    tree = ast.parse(source, filename=str(path))
-    ctx = FileContext(rel=rel, source=source, tree=tree, policy=policy)
-    raw = run_rules(ctx, select=select)
-    return _apply_noqa(ctx, raw)
-
-
 def _apply_noqa(ctx: FileContext, raw: list[Finding]) -> list[Finding]:
     suppressions = parse_suppressions(ctx.lines)
     out: list[Finding] = []
@@ -147,17 +135,16 @@ def _apply_noqa(ctx: FileContext, raw: list[Finding]) -> list[Finding]:
 
 def run_check(root, *, policy: CheckPolicy | None = None,
               baseline: dict[str, str] | None = None,
-              select=None, program: bool = True) -> CheckReport:
+              select=None) -> CheckReport:
     """Check every Python file under ``root``; the library entry point.
 
     ``root`` may be a directory (paths in findings are relative to it) or
     a single file.  ``baseline`` is a pre-loaded ``{fingerprint: reason}``
-    map (see :func:`repro.check.baseline.load_baseline`).  ``program``
-    gates the whole-program pass (:mod:`repro.check.flow`): every parsed
-    file enters one call graph, the program rules run over it, and their
-    findings join the per-file ones *before* suppressions apply — an
-    inline ``noqa`` covers a dataflow finding exactly like a syntactic
-    one.
+    map (see :func:`repro.check.baseline.load_baseline`).  Every parsed
+    file enters one call graph for the rules' whole-program clauses,
+    whose findings join the per-file ones *before* suppressions apply —
+    an inline ``noqa`` covers a dataflow finding exactly like a
+    syntactic one.
     """
     root = Path(root)
     policy = policy or DEFAULT_POLICY
@@ -176,9 +163,8 @@ def run_check(root, *, policy: CheckPolicy | None = None,
         report.files_checked += 1
     for ctx in contexts:
         run_rules(ctx, select=select)
-    if program and contexts:
-        prog = build_program(contexts, policy)
-        run_program_rules(prog, select=select)
+    if contexts:
+        run_program_rules(build_program(contexts, policy), select=select)
     for ctx in contexts:
         report.findings.extend(_apply_noqa(ctx, ctx.findings))
     if baseline:

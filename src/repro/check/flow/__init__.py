@@ -1,7 +1,8 @@
 """Interprocedural analysis under the rule engine (`repro.check.flow`).
 
-The per-file rules (:mod:`repro.check.rules`) see one module at a time;
-this subpackage sees the whole checked tree at once:
+A rule's file clause (``Rule.check``) sees one module at a time; its
+program clause (``Rule.check_program``) sees the whole checked tree at
+once, through this subpackage:
 
 * :mod:`~repro.check.flow.graph` builds a program-wide **call graph**
   with import-alias resolution (absolute *and* relative imports) and
@@ -9,37 +10,26 @@ this subpackage sees the whole checked tree at once:
   ``__init__`` assignments and annotations, bound-method calls);
 * :mod:`~repro.check.flow.context` exposes it through
   :class:`ProgramContext` — the whole-program twin of
-  :class:`repro.check.rules.FileContext`, with the same ~30-line
-  rule-author contract (subclass :class:`ProgramRule`, call
-  ``program.report(...)``);
+  :class:`repro.check.rules.FileContext` (``program.report(rel, node,
+  message)`` reports under the running rule's id);
 * :mod:`~repro.check.flow.taint` runs a forward **taint analysis** over
   the graph (function summaries to fixpoint) with three built-in kinds:
   host-clock values, nondeterministic RNG draws, and unordered-iteration
-  values — upgrading RPR001/RPR002/RPR003 from syntactic to
-  dataflow-aware (:mod:`~repro.check.flow.rules_taint`);
+  values — the program clauses of RPR001 and RPR002 report its sink hits;
 * :mod:`~repro.check.flow.rules_async` (RPR010/RPR011) and
   :mod:`~repro.check.flow.rules_procs` (RPR012) guard the async and
   cross-process state of the serving layer.
 
 Findings flow through the exact same suppress/baseline/CLI contract as
-file-rule findings; see ``docs/static_analysis.md`` ("Interprocedural
+file-clause findings; see ``docs/static_analysis.md`` ("Interprocedural
 analysis") for the taint kinds, the sink catalog, and rule semantics.
 """
 
-from .context import (
-    PROGRAM_RULES,
-    ProgramContext,
-    ProgramRule,
-    build_program,
-    register_program,
-    run_program_rules,
-)
+from .context import ProgramContext, build_program, run_program_rules
 from .graph import CallGraph, CallSite, FunctionInfo, build_graph
 from .taint import Taint, TaintAnalysis
 
 __all__ = [
-    "CallGraph", "CallSite", "FunctionInfo", "PROGRAM_RULES",
-    "ProgramContext", "ProgramRule", "Taint", "TaintAnalysis",
-    "build_graph", "build_program", "register_program",
-    "run_program_rules",
+    "CallGraph", "CallSite", "FunctionInfo", "ProgramContext", "Taint",
+    "TaintAnalysis", "build_graph", "build_program", "run_program_rules",
 ]

@@ -1,19 +1,12 @@
-"""Program rules: the whole-program twin of the per-file rule contract.
+"""The whole-program context that ``Rule.check_program`` clauses read.
 
-A :class:`ProgramRule` is authored exactly like a file rule — ~30 lines:
-subclass, set ``id``/``name``/``summary``/``rationale``, implement
-``check(program)`` calling ``program.report(rel, node, message)``, and
-decorate with ``@register_program``.  The difference is the context: a
-:class:`ProgramContext` carries every parsed file at once, the resolved
-call graph, and (lazily) the taint analysis.
-
-Findings raised here land in the owning file's :class:`FileContext`, so
-they go through the *same* downstream contract as file-rule findings —
-inline ``# repro: noqa`` comments, the baseline file, fingerprints, the
-CLI exit code.  A rule may emit under a different rule id than its own
-(``rule=`` argument to :meth:`ProgramContext.report`): that is how the
-taint rules upgrade RPR001/RPR002 from syntactic to dataflow-aware
-while keeping one suppression channel per invariant.
+A :class:`ProgramContext` carries every parsed file at once, the
+resolved call graph, and (lazily) the taint analysis.  A rule reports
+through ``program.report(rel, node, message)``; the finding lands in the
+owning file's :class:`FileContext` under the rule's own id, so it goes
+through the *same* downstream contract as a file-clause finding — inline
+``# repro: noqa`` comments, the baseline file, fingerprints, the CLI
+exit code.
 """
 
 from __future__ import annotations
@@ -21,59 +14,21 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..findings import Finding
 from ..policy import DEFAULT_POLICY, CheckPolicy
-from ..rules import FileContext
+from ..rules import FileContext, Rule, selected
 from .graph import CallGraph, build_graph
 from .taint import TaintAnalysis
-
-#: The process-wide program-rule registry, ordered by registration.
-#: Separate from ``RULES`` so a program rule may *emit* under an existing
-#: file-rule id (the RPR001/RPR002 flow upgrades) without an id clash.
-PROGRAM_RULES: dict[str, "ProgramRule"] = {}  # repro: noqa RPR004 -- import-time rule registry of fixed size, not a runtime cache
-
-
-def register_program(cls):
-    """Class decorator adding a rule (by instance) to PROGRAM_RULES."""
-    rule = cls()
-    if not rule.id or rule.id in PROGRAM_RULES:
-        raise ValueError(f"program rule id {rule.id!r} missing or taken")
-    PROGRAM_RULES[rule.id] = rule
-    return cls
-
-
-class ProgramRule:
-    """One named, suppressible whole-program invariant."""
-
-    id: str = ""
-    name: str = ""
-    summary: str = ""
-    rationale: str = ""
-    #: Rule ids this rule emits findings under (defaults to ``(id,)``).
-    #: ``--select`` runs the rule when any of these is selected.
-    emits: tuple[str, ...] = ()
-
-    def check(self, program: "ProgramContext") -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def emitted_ids(self) -> tuple[str, ...]:
-        return self.emits or (self.id,)
-
-    def describe(self) -> dict:
-        return {"id": self.id, "name": self.name, "summary": self.summary,
-                "rationale": self.rationale,
-                "emits": list(self.emitted_ids())}
 
 
 @dataclass
 class ProgramContext:
-    """Everything a program rule needs: all files, the graph, the taint."""
+    """Everything a program clause needs: all files, the graph, the taint."""
 
     policy: CheckPolicy
     contexts: dict[str, FileContext] = field(default_factory=dict)
     graph: CallGraph = field(default_factory=CallGraph)
     _taint: TaintAnalysis | None = None
-    _rule: ProgramRule | None = None
+    _rule: Rule | None = None
 
     @property
     def taint(self) -> TaintAnalysis:
@@ -83,18 +38,12 @@ class ProgramContext:
             self._taint.run()
         return self._taint
 
-    def report(self, rel: str, node: ast.AST, message: str,
-               rule: str | None = None) -> None:
+    def report(self, rel: str, node: ast.AST, message: str) -> None:
         """Record a finding against ``rel`` (must be a checked file)."""
         ctx = self.contexts[rel]
-        line = getattr(node, "lineno", 1)
-        col = getattr(node, "col_offset", 0)
-        src = ctx.lines[line - 1] if 0 < line <= len(ctx.lines) else ""
-        assert self._rule is not None
-        ctx.findings.append(Finding(
-            path=rel, line=line, col=col,
-            rule=rule or self._rule.id, message=message, source=src,
-        ))
+        ctx._rule = self._rule
+        ctx.report(node, message)
+        ctx._rule = None
 
 
 def build_program(contexts, policy: CheckPolicy | None = None,
@@ -108,10 +57,8 @@ def build_program(contexts, policy: CheckPolicy | None = None,
 
 
 def run_program_rules(program: ProgramContext, select=None) -> None:
-    """Run the registered program rules (optionally a subset)."""
-    for rule in PROGRAM_RULES.values():
-        if select and not set(rule.emitted_ids()) & set(select):
-            continue
+    """Run the selected rules' whole-program clauses."""
+    for rule in selected(select):
         program._rule = rule
-        rule.check(program)
+        rule.check_program(program)
     program._rule = None

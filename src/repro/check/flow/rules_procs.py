@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import ast
 
-from .context import ProgramContext, ProgramRule, register_program
+from ..rules import Rule, register
+from .context import ProgramContext
 from .graph import CallGraph, FunctionInfo, ModuleInfo
 
 #: Method names that mutate their receiver in place.
@@ -134,8 +135,8 @@ def _entry_keys(graph: CallGraph, policy) -> set[str]:
     return entries
 
 
-@register_program
-class CrossProcessState(ProgramRule):
+@register
+class CrossProcessState(Rule):
     id = "RPR012"
     name = "cross-process-state"
     summary = ("module globals mutated in worker-process callees "
@@ -145,7 +146,7 @@ class CrossProcessState(ProgramRule):
                  "return state in the worker's result payload instead "
                  "of mutating globals")
 
-    def check(self, program: ProgramContext) -> None:
+    def check_program(self, program: ProgramContext) -> None:
         graph = program.graph
         policy = program.policy
         reachable = graph.reachable_from(_entry_keys(graph, policy))

@@ -3,9 +3,9 @@
 Three taint kinds, matching the repo's determinism contract:
 
 * ``clock`` — a value derived from a host-clock read
-  (:data:`repro.check.rules_clock.BANNED_CLOCKS`).  Reaching a
-  charge-accounting call or a payload-producing sink means wall time
-  leaks into simulated charges or response bytes.
+  (:data:`BANNED_CLOCKS`).  Reaching a charge-accounting call or a
+  payload-producing sink means wall time leaks into simulated charges or
+  response bytes.
 * ``rng`` — a value derived from nondeterministic randomness: the
   module-global ``random``/legacy ``numpy.random`` state, an *unseeded*
   ``random.Random()`` or ``numpy.random.default_rng`` with no seed
@@ -39,12 +39,10 @@ import ast
 from dataclasses import dataclass, field, replace
 
 from ..policy import CheckPolicy
-from ..rules_clock import BANNED_CLOCKS
-from ..rules_rng import NP_RANDOM_OK
 from .graph import SUBMIT_LEAFS, CallGraph, FunctionInfo, dotted_name
 
-__all__ = ["CLOCK", "RNG", "UNORDERED", "UNORDERED_ELEM", "SinkHit",
-           "Taint", "TaintAnalysis", "Val"]
+__all__ = ["BANNED_CLOCKS", "CLOCK", "NP_RANDOM_OK", "RNG", "UNORDERED",
+           "UNORDERED_ELEM", "SinkHit", "Taint", "TaintAnalysis", "Val"]
 
 CLOCK = "clock"
 RNG = "rng"
@@ -54,6 +52,25 @@ UNORDERED = "unordered"
 #: so it matters to order-sensitive accumulation, never to serializing
 #: the single value.
 UNORDERED_ELEM = "unordered_elem"
+
+#: Canonical dotted names that read the host clock: the ``clock``
+#: sources here, and the reads RPR001's file clause flags.
+BANNED_CLOCKS = frozenset({
+    "time.time", "time.time_ns",
+    "time.perf_counter", "time.perf_counter_ns",
+    "time.monotonic", "time.monotonic_ns",
+    "time.process_time", "time.process_time_ns",
+    "time.localtime", "time.gmtime", "time.ctime", "time.asctime",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+})
+
+#: numpy.random attributes that are *constructors of seeded state* (or
+#: types in annotations) rather than draws from the legacy global RNG.
+NP_RANDOM_OK = frozenset({
+    "default_rng", "Generator", "SeedSequence", "BitGenerator",
+    "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
+})
 
 #: Calls that are nondeterministic regardless of arguments.
 RNG_ALWAYS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
@@ -134,6 +151,16 @@ class SinkHit:
     sink: str              # dotted sink name, or "augmented accumulation"
     taint: Taint
     fn_key: str
+
+    def describe(self) -> str:
+        """The dataflow story: origin (file:line), hops, and sink."""
+        t = self.taint
+        origin = f"{t.origin} ({t.origin_rel}:{t.origin_line})"
+        via = ""
+        if t.via:
+            hops = " -> ".join(k.rsplit(".", 1)[-1] for k in t.via)
+            via = f" via {hops}"
+        return f"{origin}{via} reaches {self.sink}"
 
 
 @dataclass

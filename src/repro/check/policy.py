@@ -13,7 +13,7 @@ difference between an allowlist and a blind spot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _match(rel: str, patterns: tuple[str, ...]) -> bool:
@@ -37,16 +37,14 @@ class CheckPolicy:
     #:   parallel.py           the process-pool engine (host execution)
     #:   service/              request latency / worker wall accounting
     #:                         (serving measures the host by design)
-    #:   obs/                  telemetry summarises host-side values; the
-    #:                         tighter RPR009 clock discipline (interval
-    #:                         clocks only) binds there instead
+    #: ``obs/`` is deliberately absent: telemetry may read only the
+    #: interval clocks in ``obs_clock_allow``.
     wallclock_modules: tuple[str, ...] = (
         "machines/metrics.py",
         "trace/tracer.py",
         "trace/provenance.py",
         "parallel.py",
         "service/",
-        "obs/",
         "benchmarks/",
     )
 
@@ -92,9 +90,9 @@ class CheckPolicy:
     )
 
     #: RPR006 — the only charge calls the vectorized executor may make:
-    #: the fused per-operation vectors shared with the compiled executor.
-    #: Any other charge_calls name inside vexec is a per-round charge,
-    #: which would let simulated time drift between executors.
+    #: one fused charge vector per operation.  Any other charge_calls name
+    #: inside vexec is a per-round charge, which would let simulated time
+    #: drift from the reference executor's.
     vexec_fused_charges: tuple[str, ...] = (
         "exchange_sweep", "doubling_sweep", "long_shift",
     )
@@ -139,17 +137,17 @@ class CheckPolicy:
     )
 
     #: RPR009 — the operational-telemetry package: always-on buffers must
-    #: append behind a visible ``len()`` cap guard, and only interval
-    #: clocks may be read (calendar timestamps belong to
-    #: ``trace/provenance.py``, stamped once per artifact).
+    #: append behind a visible ``len()`` cap guard.  RPR001 scopes its
+    #: interval-clock exemption (``obs_clock_allow``) by it too.
     obs_modules: tuple[str, ...] = (
         "obs/",
     )
 
-    #: RPR009 — the only wall-clock reads obs code may make.  Interval
+    #: RPR001 — the only wall-clock reads obs code may make.  Interval
     #: measurement is telemetry's job; anything else (``time.time``,
     #: ``datetime.now``) would put wall timestamps into event streams
-    #: whose ordering contract is the sequence number.
+    #: whose ordering contract is the sequence number (calendar
+    #: timestamps belong to ``trace/provenance.py``).
     obs_clock_allow: tuple[str, ...] = (
         "time.perf_counter",
         "time.perf_counter_ns",
@@ -163,7 +161,7 @@ class CheckPolicy:
         "emit", "record_event", "record_span",
     )
 
-    #: Taint flow (RPR001/RPR002 dataflow upgrades) — call names whose
+    #: Taint flow (the RPR001/RPR002 program clauses) — call names whose
     #: argument bytes become response/artifact bytes.  A host-clock or
     #: RNG value reaching one of these is a finding no matter how many
     #: function boundaries it crossed.  Dotted names match exactly;
@@ -224,8 +222,6 @@ class CheckPolicy:
     cross_process_state_modules: tuple[str, ...] = (
         "service/",
     )
-
-    extra: dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     def is_wallclock_module(self, rel: str) -> bool:

@@ -3,11 +3,15 @@
 Authoring a rule is ~30 lines: subclass :class:`Rule`, set ``id`` /
 ``name`` / ``summary`` / ``rationale``, implement ``check(ctx)`` calling
 ``ctx.report(node, message)`` for each violation, and decorate with
-``@register``.  The context pre-computes the things every rule needs —
-the parsed tree, an import-alias map that canonicalises dotted call names
-(``from time import perf_counter as pc`` makes ``pc()`` resolve to
-``time.perf_counter``), parent links, and the enclosing-function index —
-so rules stay declarative.
+``@register``.  A rule whose invariant crosses files implements
+``check_program(program)`` as well (or instead), calling
+``program.report(rel, node, message)`` against the whole-program
+:class:`~repro.check.flow.context.ProgramContext`.  The file context
+pre-computes the things every rule needs — the parsed tree, an
+import-alias map that canonicalises dotted call names (``from time import
+perf_counter as pc`` makes ``pc()`` resolve to ``time.perf_counter``),
+parent links, and the enclosing-function index — so rules stay
+declarative.
 
 See ``docs/static_analysis.md`` for the authoring walkthrough.
 """
@@ -16,9 +20,13 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .findings import Finding
 from .policy import CheckPolicy
+
+if TYPE_CHECKING:
+    from .flow.context import ProgramContext
 
 #: The process-wide rule registry, ordered by registration.
 RULES: dict[str, "Rule"] = {}  # repro: noqa RPR004 -- import-time rule registry of fixed size, not a runtime cache
@@ -33,16 +41,27 @@ def register(cls):
     return cls
 
 
+def selected(select=None) -> list["Rule"]:
+    """The registered rules, narrowed to the ids in ``select`` if given."""
+    return [rule for rule in RULES.values()
+            if not select or rule.id in select]
+
+
 class Rule:
-    """One named, suppressible invariant."""
+    """One named, suppressible invariant, checked per file and/or over
+    the whole program; both clauses report under :attr:`id`."""
 
     id: str = ""
     name: str = ""
     summary: str = ""
     rationale: str = ""
 
-    def check(self, ctx: "FileContext") -> None:  # pragma: no cover
-        raise NotImplementedError
+    def check(self, ctx: "FileContext") -> None:
+        """Per-file clause (default: none)."""
+
+    def check_program(self, program: "ProgramContext") -> None:
+        """Whole-program clause, run after every file clause (default:
+        none)."""
 
     def describe(self) -> dict:
         return {"id": self.id, "name": self.name, "summary": self.summary,
@@ -146,12 +165,9 @@ def _import_aliases(tree: ast.Module) -> dict[str, str]:
     return aliases
 
 
-def run_rules(ctx: FileContext, select=None) -> list[Finding]:
-    """Run the registered rules (optionally a subset) over one file."""
-    for rule in RULES.values():
-        if select and rule.id not in select:
-            continue
+def run_rules(ctx: FileContext, select=None) -> None:
+    """Run the selected rules' file clauses over one file."""
+    for rule in selected(select):
         ctx._rule = rule
         rule.check(ctx)
     ctx._rule = None
-    return ctx.findings

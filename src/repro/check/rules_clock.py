@@ -3,36 +3,35 @@
 Simulated parallel time is a pure function of the operation sequence; the
 host wall clock may only be read by the modules whose *job* is wall-clock
 (``machines/metrics.py`` wall accounting, ``trace/tracer.py`` spans,
-``trace/provenance.py`` manifests, ``parallel.py``, ``benchmarks/``).  A
-stray ``perf_counter()`` anywhere else is how wall time leaks into
-simulated accounting and silently corrupts the Theta-conformance goldens.
+``trace/provenance.py`` manifests, ``parallel.py``, ``service/``,
+``benchmarks/``).  A stray ``perf_counter()`` anywhere else is how wall
+time leaks into simulated accounting and silently corrupts the
+Theta-conformance goldens.  Telemetry (``obs/``) measures intervals, so
+it may read the ``obs_clock_allow`` clocks (the ``perf_counter`` pair)
+and nothing else: its event order is the sequence number, and calendar
+timestamps belong to provenance manifests.
 
-Flags calls resolving to a banned clock name, and ``from``-imports of
-banned names (the contraband entering the module).  Suppressing the
-import line with a reasoned ``# repro: noqa RPR001`` also covers calls of
-that imported name.
+The file clause flags calls resolving to a banned clock name, and
+``from``-imports of banned names (the contraband entering the module).
+Suppressing the import line with a reasoned ``# repro: noqa RPR001``
+also covers calls of that imported name.
+
+The program clause catches the *flow* the file clause cannot see: a
+host-clock value that crosses function boundaries and lands in
+simulated-charge accounting or response bytes (the read may be legal
+where it happens — the service may measure latency, just not serialize
+it).  Both clauses report under RPR001, so one ``noqa`` channel covers
+the invariant.
 """
 
 from __future__ import annotations
 
 import ast
 
+from .flow.context import ProgramContext
+from .flow.taint import BANNED_CLOCKS, CLOCK
 from .rules import FileContext, Rule, register
 
-#: Canonical dotted names that read the host clock.
-BANNED_CLOCKS = frozenset({
-    "time.time", "time.time_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns",
-    "time.localtime", "time.gmtime", "time.ctime", "time.asctime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
-
-#: ``from``-import suffixes that resolve to a banned clock, e.g.
-#: ``from time import perf_counter`` or ``from datetime import datetime``.
-_BANNED_FROM = {tuple(name.rsplit(".", 1)) for name in BANNED_CLOCKS}
 _BANNED_TYPES = {"datetime", "date"}  # the types carry .now()/.today()
 
 
@@ -41,17 +40,22 @@ class TwoClockPurity(Rule):
     id = "RPR001"
     name = "two-clock-purity"
     summary = ("wall-clock reads (time.*, datetime.now, perf_counter) "
-               "outside the allowlisted wall-clock modules")
+               "outside the allowlisted wall-clock modules, or host-clock "
+               "values flowing into charge accounting or payload bytes")
     rationale = ("simulated time must be a pure function of the operation "
                  "sequence; wall-clock belongs only to the metrics/trace/"
                  "parallel layers (docs/cost_model.md, two-clock contract)")
 
     def check(self, ctx: FileContext) -> None:
-        if ctx.policy.is_wallclock_module(ctx.rel):
+        policy = ctx.policy
+        if policy.is_wallclock_module(ctx.rel):
             return
-        imported_clocks = self._flag_imports(ctx)
+        banned = BANNED_CLOCKS
+        if policy.is_obs_module(ctx.rel):
+            banned -= set(policy.obs_clock_allow)
+        imported_clocks = self._flag_imports(ctx, banned)
         for node, name in ctx.calls():
-            if name in BANNED_CLOCKS:
+            if name in banned:
                 # Calls through a from-imported name are covered by the
                 # finding (and any suppression) on the import line itself.
                 if _root_name(node.func) in imported_clocks:
@@ -59,22 +63,29 @@ class TwoClockPurity(Rule):
                 ctx.report(node, f"wall-clock read {name}() outside the "
                                  f"wall-clock allowlist")
 
-    def _flag_imports(self, ctx: FileContext) -> set[str]:
+    def _flag_imports(self, ctx: FileContext, banned) -> set[str]:
         """Flag banned from-imports; return the local names they bind."""
         bound: set[str] = set()
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ImportFrom) or node.level:
                 continue
             for alias in node.names:
-                full = (node.module, alias.name)
                 banned_type = (node.module == "datetime"
                                and alias.name in _BANNED_TYPES)
-                if full in _BANNED_FROM or banned_type:
+                if f"{node.module}.{alias.name}" in banned or banned_type:
                     bound.add(alias.asname or alias.name)
                     ctx.report(node, f"import of wall-clock name "
                                      f"{node.module}.{alias.name} outside "
                                      f"the wall-clock allowlist")
         return bound
+
+    def check_program(self, program: ProgramContext) -> None:
+        for hit in program.taint.hits_of(CLOCK):
+            program.report(
+                hit.rel, hit.node,
+                f"wall-clock value from {hit.describe()}; simulated "
+                f"charges and payload bytes must not depend on the host "
+                f"clock")
 
 
 def _root_name(node: ast.AST) -> str | None:

@@ -2,11 +2,11 @@
 
 The observability package (:mod:`repro.obs`) runs always-on inside the
 serving loop, so its failure modes are quiet and cumulative: a telemetry
-buffer that grows without bound is a slow memory leak on the hot path, a
-calendar-clock read threads wall timestamps into an event stream whose
-ordering contract is the sequence number, and an f-string handed to an
-emission site turns a structured record into a pre-formatted message no
-consumer can filter on.  All three look perfectly healthy in tests.
+buffer that grows without bound is a slow memory leak on the hot path,
+and an f-string handed to an emission site turns a structured record
+into a pre-formatted message no consumer can filter on.  Both look
+perfectly healthy in tests.  (Which clocks obs code may read is RPR001's
+business: interval clocks only, per ``obs_clock_allow``.)
 
 The rule flags, inside obs modules
 (:attr:`~repro.check.policy.CheckPolicy.obs_modules`):
@@ -21,9 +21,6 @@ The rule flags, inside obs modules
       self.records.append(rec)
 
   Local-variable appends are scope-bounded and out of scope;
-* **calendar-clock reads** — any banned clock from RPR001's list outside
-  :attr:`~repro.check.policy.CheckPolicy.obs_clock_allow` (interval
-  clocks only; provenance manifests own the timestamps).
 
 and, at the emission sites (obs modules *plus* the service modules that
 call them):
@@ -39,7 +36,6 @@ from __future__ import annotations
 import ast
 
 from .rules import FileContext, Rule, register
-from .rules_clock import BANNED_CLOCKS
 
 
 @register
@@ -47,30 +43,17 @@ class ObsHygiene(Rule):
     id = "RPR009"
     name = "obs-hygiene"
     summary = ("telemetry buffer appended without a visible len() cap "
-               "guard, calendar-clock read in obs code, or f-string "
-               "payload at a structured emission site")
+               "guard, or f-string payload at a structured emission site")
     rationale = ("always-on telemetry must stay bounded (RPR004 applied "
-                 "to the hot path), sequence-ordered (no wall timestamps "
-                 "in event streams), and structured (filterable fields, "
+                 "to the hot path) and structured (filterable fields, "
                  "never pre-formatted messages) — docs/operations.md")
 
     def check(self, ctx: FileContext) -> None:
         in_obs = ctx.policy.is_obs_module(ctx.rel)
         if in_obs:
-            self._check_clocks(ctx)
             self._check_appends(ctx)
         if in_obs or ctx.policy.is_service_module(ctx.rel):
             self._check_payloads(ctx)
-
-    # -- calendar clocks ------------------------------------------------
-    def _check_clocks(self, ctx: FileContext) -> None:
-        allow = set(ctx.policy.obs_clock_allow)
-        for node, name in ctx.calls():
-            if name in BANNED_CLOCKS and name not in allow:
-                ctx.report(node, f"calendar-clock read {name}() in obs "
-                                 f"code; event order is the sequence "
-                                 f"number, intervals use perf_counter, "
-                                 f"timestamps belong to provenance")
 
     # -- bounded buffers ------------------------------------------------
     def _check_appends(self, ctx: FileContext) -> None:

@@ -12,20 +12,20 @@ Three leak paths into nondeterminism, all statically visible:
 * **set-order float accumulation** — iterating a ``set`` feeds hash
   order into an order-sensitive float sum; in the accounting subtrees
   that changes simulated charges between hash seeds.
+
+The program clause follows the same values across function boundaries:
+an unseeded draw or a set-order value that reaches payload bytes or an
+accounting accumulation through calls is reported at the sink, under
+the same id.
 """
 
 from __future__ import annotations
 
 import ast
 
+from .flow.context import ProgramContext
+from .flow.taint import NP_RANDOM_OK, RNG, UNORDERED
 from .rules import FileContext, Rule, register
-
-#: numpy.random attributes that are *constructors of seeded state* (or
-#: types in annotations) rather than draws from the legacy global RNG.
-NP_RANDOM_OK = frozenset({
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
-})
 
 #: random-module names that construct an instance instead of touching the
 #: module-global Mersenne Twister.  (``SystemRandom`` stays banned: it is
@@ -41,7 +41,9 @@ class Determinism(Rule):
     id = "RPR002"
     name = "determinism"
     summary = ("module-global RNG state, os.environ reads outside entry "
-               "points, or set-order-fed float accumulation")
+               "points, or set-order-fed float accumulation, also when "
+               "such values reach payload bytes or accounting through "
+               "calls")
     rationale = ("every run must be a pure function of its seeds and "
                  "arguments — identical for every --jobs value and hash "
                  "seed (docs/verification.md determinism contract)")
@@ -90,6 +92,21 @@ class Determinism(Rule):
                             and any(_is_set_expr(ctx, g.iter)
                                     for g in arg.generators):
                         ctx.report(node, msg)
+
+    def check_program(self, program: ProgramContext) -> None:
+        for hit in program.taint.hits_of(RNG, UNORDERED):
+            if hit.kind == UNORDERED and not hit.taint.via \
+                    and hit.taint.origin_rel == hit.rel:
+                # A set display feeding a sink inside one function is
+                # the file clause's case; re-reporting it here would
+                # double every local finding.
+                continue
+            what = ("nondeterministic value" if hit.kind == RNG
+                    else "hash-order-dependent value")
+            program.report(
+                hit.rel, hit.node,
+                f"{what} from {hit.describe()}; every run must be a "
+                f"pure function of its seeds and arguments")
 
     def describe(self) -> dict:
         d = super().describe()

@@ -9,7 +9,6 @@ channels visible in the same place the active findings are.
 
 from __future__ import annotations
 
-from .flow import PROGRAM_RULES
 from .rules import RULES
 
 SARIF_VERSION = "2.1.0"
@@ -21,18 +20,10 @@ SARIF_SCHEMA = ("https://raw.githubusercontent.com/oasis-tcs/sarif-spec/"
 _SUPPRESSION_KIND = {"noqa": "inSource", "baseline": "external"}
 
 
-def _rule_index() -> dict[str, dict]:
-    out: dict[str, dict] = {}
-    for rid, rule in {**PROGRAM_RULES, **RULES}.items():
-        out[rid] = rule.describe()
-    return out
-
-
 def _tool_rules(used: set[str]) -> list[dict]:
-    index = _rule_index()
     rules = []
     for rid in sorted(used):
-        meta = index.get(rid, {"name": rid, "summary": "", "rationale": ""})
+        meta = RULES[rid].describe() if rid in RULES else {}
         entry = {
             "id": rid,
             "name": meta.get("name", rid),

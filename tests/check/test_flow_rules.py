@@ -1,27 +1,21 @@
 """Interprocedural (whole-program) rule tests: exact rule ids and lines.
 
 The ``flow/`` fixtures are the acceptance cases for the taint engine:
-each bad fixture is *provably* invisible to the syntactic rule set —
-asserted here by running the old rules (``program=False``) over the same
-tree and requiring zero findings — and caught at an exact (file, line,
-rule) by the dataflow pass.  ``rpr010``/``rpr011``/``rpr012`` cover the
-async-race and cross-process rules the same way.
+each bad fixture is a cross-function flow that only the program clause
+of RPR001/RPR002 can see, caught at an exact (file, line, rule).
+``rpr010``/``rpr011``/``rpr012`` cover the async-race and cross-process
+rules the same way.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.check import PROGRAM_RULES, RULES, run_check
+from repro.check import RULES, Rule, run_check
 
 pytestmark = pytest.mark.check
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-#: The pre-dataflow rule set: RPR001..RPR009 (the async rules RPR010/011
-#: are file-local too, but arrived with this engine, so they're not part
-#: of the "old rules provably miss this" baseline).
-SYNTACTIC = [f"RPR00{i}" for i in range(1, 10)]
 
 
 def findings_of(subdir):
@@ -109,16 +103,9 @@ def test_flow_findings_carry_the_call_chain():
     assert "via" in by_file["rngflow.py"]
 
 
-def test_syntactic_rules_provably_miss_the_flow_fixtures():
-    # The whole point: the same tree, old rules only, zero findings.
-    report = run_check(FIXTURES / "flow", select=SYNTACTIC, program=False)
-    assert not report.parse_errors
-    assert report.findings == []
-
-
 def test_unrelated_select_leaves_flow_rules_dormant():
-    # Selecting an id no flow rule emits keeps the dataflow pass quiet:
-    # selection gates program rules exactly like file rules.
+    # Selecting a rule with no dataflow clause keeps the taint findings
+    # quiet: selection gates program clauses exactly like file clauses.
     report = run_check(FIXTURES / "flow", select=["RPR003"])
     assert report.findings == []
 
@@ -145,7 +132,7 @@ def test_noqa_suppresses_flow_finding(tmp_path):
 
 
 def test_program_select_accepts_emitted_id():
-    # --select RPR001 runs both the syntactic rule and its flow upgrade.
+    # --select RPR001 runs both of the rule's clauses, file and dataflow.
     report = run_check(FIXTURES / "flow", select=["RPR001"])
     assert [(f.line, f.rule) for f in report.active] == [(16, "RPR001")]
 
@@ -154,21 +141,18 @@ def test_program_select_accepts_emitted_id():
 # Registry documentation
 # ----------------------------------------------------------------------
 def test_program_rules_registered_with_docs():
-    # RPR010/011 are file-local (one async def at a time) and live in
-    # RULES; RPR012 and the taint upgrades need the whole program.
-    assert {"RPR010", "RPR011"} <= set(RULES)
-    assert {"RPR012", "RPR001F", "RPR002F"} <= set(PROGRAM_RULES)
-    for rule in PROGRAM_RULES.values():
+    # RPR010/011 are file-local (one async def at a time); RPR012 is
+    # whole-program only; RPR001/RPR002 carry both clauses.
+    program = {rid for rid, rule in RULES.items()
+               if type(rule).check_program is not Rule.check_program}
+    assert program == {"RPR001", "RPR002", "RPR012"}
+    for rid in program:
+        rule = RULES[rid]
         assert rule.name and rule.summary and rule.rationale
-
-
-def test_flow_upgrades_emit_under_the_syntactic_ids():
-    assert PROGRAM_RULES["RPR001F"].emits == ("RPR001",)
-    assert PROGRAM_RULES["RPR002F"].emits == ("RPR002",)
 
 
 def test_report_to_dict_documents_program_rules():
     report = run_check(FIXTURES / "flow")
     rules = report.to_dict()["rules"]
-    assert "RPR010" in rules and "RPR012" in rules
-    assert "emits" in rules["RPR001F"]
+    assert {"RPR001", "RPR002", "RPR010", "RPR012"} <= set(rules)
+    assert all(rules[rid]["id"] == rid for rid in rules)

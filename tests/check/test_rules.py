@@ -263,10 +263,37 @@ def test_rpr008_shipped_incremental_package_is_clean():
 def test_rpr009_bad_fixture_exact_findings():
     report = findings_of("rpr009")
     assert triples(report) == [
-        ("bad_obs.py", 10, "RPR009"),  # time.time() in obs code
+        ("bad_obs.py", 10, "RPR001"),  # time.time() in obs code
         ("bad_obs.py", 11, "RPR009"),  # unguarded self.records.append
         ("bad_obs.py", 16, "RPR009"),  # f-string payload to emit()
     ]
+
+
+def test_rpr001_obs_may_read_only_interval_clocks(tmp_path):
+    # obs/ is not a wall-clock module: RPR001 binds there, less the
+    # obs_clock_allow pair (perf_counter), in both the call and the
+    # from-import form.  The same file elsewhere reports every clock.
+    source = "\n".join([
+        "import time",                          # 1
+        "from time import perf_counter",        # 2
+        "from datetime import datetime",        # 3
+        "",                                     # 4
+        "def sample():",                        # 5
+        "    a = time.perf_counter()",          # 6
+        "    b = perf_counter()",               # 7
+        "    c = time.monotonic()",             # 8
+        "    return a, b, c, datetime.now()",   # 9
+    ]) + "\n"
+    for pkg in ("obs", "analysis"):
+        (tmp_path / pkg).mkdir()
+        (tmp_path / pkg / "clocks.py").write_text(source)
+    report = run_check(tmp_path, select=["RPR001"])
+    by_pkg = {}
+    for f in report.active:
+        assert f.rule == "RPR001"
+        by_pkg.setdefault(f.path.split("/")[-2], []).append(f.line)
+    assert sorted(by_pkg["obs"]) == [3, 8]
+    assert sorted(by_pkg["analysis"]) == [2, 3, 6, 8]
 
 
 def test_rpr009_bounded_ring_and_structured_payloads_clean():
