@@ -19,7 +19,7 @@ from .baseline import apply_baseline
 from .findings import Finding
 from .flow import build_program, run_program_rules
 from .policy import DEFAULT_POLICY, CheckPolicy
-from .rules import RULES, FileContext, run_rules
+from .rules import RULES, FileContext, Rule, run_rules, selected
 from .suppress import MALFORMED_RULE, parse_suppressions
 
 
@@ -141,8 +141,9 @@ def run_check(root, *, policy: CheckPolicy | None = None,
     ``root`` may be a directory (paths in findings are relative to it) or
     a single file.  ``baseline`` is a pre-loaded ``{fingerprint: reason}``
     map (see :func:`repro.check.baseline.load_baseline`).  Every parsed
-    file enters one call graph for the rules' whole-program clauses,
-    whose findings join the per-file ones *before* suppressions apply —
+    file enters one call graph for the rules' whole-program clauses (built
+    only when a selected rule has one), whose findings join the per-file
+    ones *before* suppressions apply —
     an inline ``noqa`` covers a dataflow finding exactly like a
     syntactic one.
     """
@@ -163,7 +164,8 @@ def run_check(root, *, policy: CheckPolicy | None = None,
         report.files_checked += 1
     for ctx in contexts:
         run_rules(ctx, select=select)
-    if contexts:
+    if contexts and any(type(rule).check_program is not Rule.check_program
+                        for rule in selected(select)):
         run_program_rules(build_program(contexts, policy), select=select)
     for ctx in contexts:
         report.findings.extend(_apply_noqa(ctx, ctx.findings))

@@ -59,6 +59,7 @@ from ..ops import (
 )
 from ..ops._common import next_pow2
 from ..trace.tracer import trace_span, tracing_enabled
+from ._envelope_kernel import envelope_levels
 from .family import CurveFamily
 
 __all__ = [
@@ -370,16 +371,9 @@ def _gap_subpieces(lo, hi, pf, pg, family: CurveFamily, op: str):
                  (pf.label, pg.label))]
     if family.same(pf.fn, pg.fn):
         return [(lo, hi, pf.fn, pf.label)]
-    roots = family.crossings(pf.fn, pg.fn, lo, hi)
-    bounds = [lo, *roots, hi]
     out = []
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a <= _eps(a):
-            continue
-        mid = a + 1.0 if math.isinf(b) else 0.5 * (a + b)
-        va, vb = family.value(pf.fn, mid), family.value(pg.fn, mid)
-        take_f = (va <= vb) if op == "min" else (va >= vb)
-        win = pf if take_f else pg
+    for a, b, f_wins in family.split_gap(pf.fn, pg.fn, lo, hi, op):
+        win = pf if f_wins else pg
         out.append((a, b, win.fn, win.label))
     return out
 
@@ -653,7 +647,8 @@ def envelope_on(machines: Iterable[Machine], fns: Sequence,
 def _charge_tree(machine: Machine, tree: list, s: int) -> None:
     """Charge the combine tree level by level: each level adds its
     slowest combine's memoised schedule (every combine's on the serial
-    machine, which has no parallelism across siblings).
+    machine, which has no parallelism across siblings).  A level's equal
+    ``(length, shape)`` combines are costed once.
 
     Each combine runs on a substring of ``machine`` (see
     :func:`_substring_machine`); its schedule is looked up under that
@@ -666,6 +661,10 @@ def _charge_tree(machine: Machine, tree: list, s: int) -> None:
     sigs: dict[int, tuple] = {}  # sub-machine signature by combine length
     for combines in tree:
         worst, worst_time = None, -1.0
+        if not serial:
+            # Equal combines charge equal schedules: cost each distinct
+            # one once, in first-occurrence order (the first slowest wins).
+            combines = dict.fromkeys(combines)
         for length, shape in combines:
             if shape is None:
                 schedule: tuple = ()
@@ -705,11 +704,17 @@ def _envelope_geometry(level: list[PiecewiseFunction], family: CurveFamily,
     """The Theorem 3.2 combine tree, machine-free: ``(envelope, tree)``.
 
     ``tree`` lists each level's combines as ``(sub-machine length,
-    shape)`` pairs, in the order :func:`envelope_on` charges them.
+    shape)`` pairs, in the order :func:`envelope_on` charges them.  A
+    large level's combines are computed together, in one columnar pass
+    (:func:`~repro.core._envelope_kernel.envelope_levels`); the small
+    levels left are walked combine by combine (:func:`_combine_geometry`).
+    Both give the same pieces and shapes.
     """
     if len(level) > 1:
         _check_op(op)
-    tree = []
+        level, tree = envelope_levels(level, family, op)
+    else:
+        tree = []
     while len(level) > 1:
         nxt = []
         combines = []

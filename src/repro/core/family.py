@@ -27,12 +27,18 @@ accounting invariant.
 from __future__ import annotations
 
 import math
+from itertools import chain
 
 import numpy as np
 from typing import Iterable, Sequence
 
 from ..kinetics.batch import warm_root_candidates
-from ..kinetics.polynomial import Polynomial
+from ..kinetics.polynomial import (
+    COEFF_EPS,
+    ROOT_EPS,
+    Polynomial,
+    _from_floats,
+)
 from ..trace.registry import get_counter
 
 __all__ = ["CurveFamily", "PolynomialFamily", "global_cache_stats",
@@ -111,6 +117,52 @@ class CurveFamily:
     def constant(self, c: float):
         """The constant curve at level ``c`` (for threshold indicators)."""
         raise NotImplementedError(f"{type(self).__name__} has no constants")
+
+    # ------------------------------------------------------------------
+    # Step 4 of Lemma 3.1 (select ops)
+    # ------------------------------------------------------------------
+    def split_gap(self, f, g, lo: float, hi: float,
+                  op: str) -> list[tuple[float, float, bool]]:
+        """``op(f, g)`` on a gap ``[lo, hi]`` where both distinct curves are
+        defined: ``(a, b, f_wins)`` subintervals, left to right.
+
+        The gap is cut at the crossings; each nondegenerate subinterval
+        goes to the curve that wins at its midpoint (ties to ``f``).
+        """
+        bounds = [lo, *self.crossings(f, g, lo, hi), hi]
+        out = []
+        for a, b in zip(bounds, bounds[1:]):
+            if b - a <= 1e-9 * max(1.0, abs(a)):
+                continue
+            mid = a + 1.0 if math.isinf(b) else 0.5 * (a + b)
+            va, vb = self.value(f, mid), self.value(g, mid)
+            out.append((a, b, va <= vb if op == "min" else va >= vb))
+        return out
+
+    def resolve_gaps(self, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
+                     g: np.ndarray, fns: Sequence, op: str):
+        """:meth:`split_gap` for every crossing gap of one envelope tree
+        level at once (:mod:`repro.core._envelope_kernel`).
+
+        Gap ``i`` is ``[lo[i], hi[i]]`` with curves ``fns[f[i]]`` and
+        ``fns[g[i]]``, which are not :meth:`same`.  Returns the subpieces
+        as columns ``(gap, lo, hi, owner)``: ordered by gap, then left to
+        right, ``owner`` being ``f[gap]`` or ``g[gap]``.  This base version
+        prefetches the level's distinct pairs in one batch, then splits
+        each gap; families with array-friendly curves override it.
+        """
+        lo_l, hi_l, f_l, g_l = lo.tolist(), hi.tolist(), f.tolist(), g.tolist()
+        self.prefetch_crossings(
+            dict.fromkeys((fns[x], fns[y]) for x, y in zip(f_l, g_l)))
+        gap, out_lo, out_hi, own = [], [], [], []
+        for i, (a0, b0, x, y) in enumerate(zip(lo_l, hi_l, f_l, g_l)):
+            for a, b, f_wins in self.split_gap(fns[x], fns[y], a0, b0, op):
+                gap.append(i)
+                out_lo.append(a)
+                out_hi.append(b)
+                own.append(x if f_wins else y)
+        return (np.array(gap, dtype=np.int64), np.array(out_lo, dtype=float),
+                np.array(out_hi, dtype=float), np.array(own, dtype=np.int64))
 
     # ------------------------------------------------------------------
     # Crossing cache protocol
@@ -223,6 +275,86 @@ class PolynomialFamily(CurveFamily):
         return [r for r in roots
                 if lo + eps < r and (not math.isfinite(hi) or r < hi - eps)]
 
+    def resolve_gaps(self, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
+                     g: np.ndarray, fns: Sequence[Polynomial], op: str):
+        """:meth:`CurveFamily.resolve_gaps` over coefficient columns.
+
+        The subpieces equal per-gap :meth:`split_gap` calls after one
+        :meth:`prefetch_crossings`, because every float comes from the
+        scalar path's own code or from its operations in its order:
+
+        * crossing data goes through the pair cache, filled in bulk: the
+          level's distinct pairs are looked up in first-gap order and the
+          misses installed from one subtraction of zero-padded
+          coefficient rows (``0.0 - y`` and ``x - 0.0`` are what
+          ``Polynomial.__sub__`` computes past the shorter operand);
+          counters move as one miss per new pair and one hit per gap;
+        * each pair's root candidates come from :func:`_candidates`
+          (degree <= 2 in closed form, elementwise; higher degrees the
+          memoised, batch-solved ones), and :func:`_crossings` applies
+          ``real_roots``' range filter and ``crossings``' open-interval
+          test to all gaps at once;
+        * midpoint winners come from one batched Horner scheme.
+        """
+        n = len(lo)
+        if not n:
+            return f, lo, hi, g  # no gaps: the empty columns serve
+        # Distinct curve pairs, numbered in first-gap order, and the rows
+        # of the curves involved (ascending coefficients, zero-padded).
+        ids: dict = {}
+        pid = np.array([ids.setdefault(key, len(ids))
+                        for key in zip(f.tolist(), g.tolist())])
+        rows = {o: r for r, o in enumerate(dict.fromkeys(chain(*ids)))}
+        C = _padded([fns[o]._cl for o in rows], 0.0)[0]
+        rf = np.array([rows[x] for x, _ in ids])
+        rg = np.array([rows[y] for _, y in ids])
+        entries = self._bulk_entries([(fns[x], fns[y]) for x, y in ids],
+                                     (C[rf] - C[rg]).tolist(), n)
+        cands, count = _candidates(entries)
+        roots, kept = _crossings(cands[pid], count[pid], lo, hi)
+
+        # Subintervals between consecutive bounds [lo, roots..., hi].
+        bounds = np.column_stack((lo, roots, hi))
+        b_gap, b_col = np.column_stack((np.ones(n, dtype=bool), kept,
+                                        np.ones(n, dtype=bool))).nonzero()
+        b_val = bounds[b_gap, b_col]
+        inner = np.nonzero(b_gap[1:] == b_gap[:-1])[0]
+        a, b = b_val[inner], b_val[inner + 1]
+        keep = ~(b - a <= 1e-9 * np.maximum(np.abs(a), 1.0))
+        s_gap, a, b = b_gap[inner[keep]], a[keep], b[keep]
+        mid = np.where(np.isinf(b), a + 1.0, 0.5 * (a + b))
+        sp = pid[s_gap]
+        va, vb = _horner(C, np.concatenate((rf[sp], rg[sp])),
+                         np.concatenate((mid, mid))).reshape(2, -1)
+        f_wins = va <= vb if op == "min" else va >= vb
+        return s_gap, a, b, np.where(f_wins, f[s_gap], g[s_gap])
+
+    def _bulk_entries(self, pairs: list, diffs: list,
+                      n_gaps: int) -> list[Polynomial]:
+        """The pair cache's entries for ``pairs`` (distinct curve pairs in
+        first-gap order), installing misses from the ``diffs`` rows, with
+        the counters of :meth:`prefetch_crossings` followed by ``n_gaps``
+        :meth:`crossings` calls."""
+        if self.cache_enabled:
+            cache = self._cache()
+            entries, fresh = [], []
+            for key, d in zip(pairs, diffs):
+                e = cache.get(key)
+                if e is None:
+                    e = cache[key] = _from_floats(d)
+                    fresh.append(e)
+                entries.append(e)
+            self.cache_misses += len(fresh)
+            _MISSES.value += len(fresh)
+            self.cache_hits += n_gaps
+            _HITS.value += n_gaps
+        else:
+            entries = fresh = [_from_floats(d) for d in diffs]
+            self.cache_misses += n_gaps
+            _MISSES.value += n_gaps
+        warm_root_candidates([e for e in fresh if e.degree >= 3])
+        return entries
+
     def combine(self, f: Polynomial, g: Polynomial, kind: str) -> Polynomial:
         if kind == "sum":
             return f + g
@@ -239,3 +371,93 @@ class PolynomialFamily(CurveFamily):
     def for_curves(curves: Sequence[Polynomial]) -> "PolynomialFamily":
         """A family sized to the maximum degree present."""
         return PolynomialFamily(max((c.degree for c in curves), default=0))
+
+
+def _padded(rows: list, fill: float, width: int = 1):
+    """Ragged float lists as one ``fill``-padded matrix (at least
+    ``width`` columns), with each row's length."""
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    M = np.full((len(rows), max(width, int(lens.max()))), fill)
+    ends = np.cumsum(lens)
+    M[np.repeat(np.arange(len(rows)), lens),
+      np.arange(int(ends[-1])) - np.repeat(ends - lens, lens)] = np.fromiter(
+        chain.from_iterable(rows), dtype=float, count=int(ends[-1]))
+    return M, lens
+
+
+def _candidates(diffs: list):
+    """Each difference's sorted root candidates (what ``real_roots``
+    range-filters), as a NaN-padded matrix and per-row counts.
+
+    Degree 1 is ``-c0 / c1`` (``real_roots`` does not clamp it, but a
+    single candidate's clamp cannot change what ``crossings`` keeps);
+    degree 2 is ``_quadratic_candidates`` elementwise, the sorted set
+    included; higher degrees read the memoised, batch-solved candidates.
+    """
+    E, lens = _padded([d._cl for d in diffs], 0.0, width=3)
+    deg = lens - 1
+    high = np.nonzero(deg >= 3)[0].tolist()
+    extra = [diffs[i]._root_candidates() for i in high]
+    cands = np.full((len(diffs), max([2, *map(len, extra)])), np.nan)
+    count = np.zeros(len(diffs), dtype=np.int64)
+    lin = deg == 1
+    cands[lin, 0] = -E[lin, 0] / E[lin, 1]
+    count[lin] = 1
+    quad = np.nonzero(deg == 2)[0]
+    c, b, a = E[quad, 0], E[quad, 1], E[quad, 2]
+    bb = b * b
+    fac = 4.0 * a * c
+    disc = bb - fac
+    real = ~(disc < -ROOT_EPS * np.maximum(bb + np.abs(fac), 1.0))
+    sq = np.sqrt(np.where(0.0 > disc, 0.0, disc))
+    q = np.where(b >= 0, -(b + sq) / 2.0, -(b - sq) / 2.0)
+    has1 = np.abs(a) > COEFF_EPS
+    has2 = np.abs(q) > COEFF_EPS
+    r1 = q / np.where(has1, a, 1.0)
+    r2 = c / np.where(has2, q, 1.0)
+    two = has1 & has2 & (r1 != r2)
+    cands[quad, 0] = np.where(two, np.minimum(r1, r2),
+                              np.where(has1, r1, np.where(has2, r2, 0.0)))
+    cands[quad, 1] = np.where(two, np.maximum(r1, r2), np.nan)
+    count[quad] = np.where(real, 1 + two, 0)
+    for i, rc in zip(high, extra):
+        cands[i, :len(rc)] = rc
+        count[i] = len(rc)
+    return cands, count
+
+
+def _crossings(cands: np.ndarray, count: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray):
+    """``crossings`` of every gap from its sorted candidates (row ``i``,
+    the first ``count[i]`` columns): ``_filter_range``'s range test,
+    clamp and dedupe, then the open-interval test.  Returns the clamped
+    roots and the mask of kept ones, left to right."""
+    lo, hi = lo[:, None], hi[:, None]
+    finite = np.isfinite(hi)
+    ok = (np.arange(cands.shape[1]) < count[:, None]) & ~(
+        (cands < lo - ROOT_EPS) | (cands > hi + ROOT_EPS))
+    y = np.where(lo > cands, lo, cands)  # min(max(r, lo), hi if finite else r)
+    y = np.where(finite, np.where(hi < y, hi, y), cands)
+    if cands.shape[1] > 1:
+        # A candidate within ROOT_EPS of the last one kept is dropped.
+        tol = ROOT_EPS * np.maximum(np.abs(y), 1.0)
+        last, seen = y[:, 0], ok[:, 0].copy()
+        for j in range(1, cands.shape[1]):
+            ok[:, j] &= ~(seen & (np.abs(y[:, j] - last) <= tol[:, j]))
+            last = np.where(ok[:, j], y[:, j], last)
+            seen |= ok[:, j]
+    eps = 1e-9 * np.maximum(np.abs(lo), 1.0)
+    return y, ok & (lo + eps < y) & (~finite | (y < hi - eps))
+
+
+def _horner(C: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``Polynomial.__call__`` of curve ``rows[i]`` at ``t[i]``, batched.
+
+    ``C`` holds ascending coefficients, zero-padded: the leading zeros
+    leave ``acc`` at ``0.0`` until the top real coefficient, so each value
+    equals the scalar Horner scheme's for finite ``t``.
+    """
+    acc = C[rows, -1]
+    for j in range(C.shape[1] - 2, -1, -1):
+        acc = acc * t + C[rows, j]
+    return acc

@@ -1,6 +1,6 @@
 """Incremental envelope maintenance under insert / delete / retarget.
 
-The kinetic update layer of ROADMAP item 3: a maintained envelope whose
+The kinetic update layer (``docs/incremental.md``): a maintained envelope whose
 updates localize to the affected breakpoints via a deterministic
 certificate event queue, with the full recompute kept as the semantic
 reference (byte-identical parity, enforced by ``repro.verify

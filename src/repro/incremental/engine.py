@@ -2,7 +2,7 @@
 
 Everything else in the repo recomputes an envelope from scratch; this
 module maintains one under updates, the kinetic-data-structure way
-(ROADMAP item 3, grounded in Chan's dynamic shallow cuttings — see
+(``docs/incremental.md``, grounded in Chan's dynamic shallow cuttings — see
 PAPERS.md): the current envelope is a set of locally certified pieces,
 an update invalidates only the certificates it can affect, and repairs
 are driven by a deterministic event queue

@@ -1,6 +1,6 @@
 """Envelope-as-a-service: batched, cached, sharded query serving.
 
-The serving layer of ROADMAP item 2.  Clients submit
+The serving layer (``docs/service.md``).  Clients submit
 ``(curve-family, query)`` requests to an asyncio :class:`QueryService`;
 compatible queries (same family + algorithm + machine model) batch into
 single simulated runs, families shard deterministically across worker

@@ -1,6 +1,6 @@
 """Envelope-as-a-service: the asyncio batching/caching query server.
 
-:class:`QueryService` is the long-running front end of ROADMAP item 2:
+:class:`QueryService` is the long-running front end (``docs/service.md``):
 clients ``await submit(request)`` with a ``(curve-family, query)``
 request; a batching loop collects concurrent arrivals, the planner
 (:mod:`repro.service.planner`) collapses compatible queries into batch

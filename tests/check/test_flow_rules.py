@@ -110,6 +110,23 @@ def test_unrelated_select_leaves_flow_rules_dormant():
     assert report.findings == []
 
 
+def test_file_only_select_skips_the_call_graph(monkeypatch):
+    # RPR003 has no whole-program clause, so checking only it must not
+    # build the call graph: the findings come from the file clause alone.
+    import repro.check.engine as engine
+
+    want = run_check(FIXTURES / "rpr003", select=["RPR003"]).findings
+    assert want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("call graph built for a file-only selection")
+
+    monkeypatch.setattr(engine, "build_program", refuse)
+    assert run_check(FIXTURES / "rpr003", select=["RPR003"]).findings == want
+    with pytest.raises(AssertionError):
+        run_check(FIXTURES / "rpr003", select=["RPR001"])
+
+
 def test_flow_good_fixtures_clean():
     for rel in ("service/goodio.py", "machines/goodacc.py"):
         report = run_check(FIXTURES / "flow" / rel)
