@@ -49,8 +49,6 @@ from .core import (
     collides,
     collision_times,
     collision_times_with,
-    combine_map,
-    combine_map_serial,
     combine_pairwise,
     combine_pairwise_serial,
     containment_intervals,
@@ -58,7 +56,6 @@ from .core import (
     distance_squared_functions,
     enclosing_cube_edge_function,
     envelope,
-    envelope_on,
     envelope_serial,
     farthest_point_sequence,
     hull_membership_intervals,
@@ -142,10 +139,8 @@ __all__ = [
     # analysis
     "ScalingFit", "geometric_sizes", "polylog_fit", "power_fit", "render_table",
     # core — Section 3
-    "CurveFamily", "PolynomialFamily", "envelope", "envelope_on",
-    "envelope_serial",
-    "combine_pairwise", "combine_pairwise_serial", "combine_map",
-    "combine_map_serial", "threshold_indicator",
+    "CurveFamily", "PolynomialFamily", "envelope", "envelope_serial",
+    "combine_pairwise", "combine_pairwise_serial", "threshold_indicator",
     # core — Section 4
     "closest_point_sequence", "farthest_point_sequence",
     "distance_squared_functions", "collides", "collision_times",

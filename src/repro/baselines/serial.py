@@ -24,7 +24,7 @@ __all__ = ["serial_envelope", "serial_envelope_cost",
 
 def serial_envelope(fns: Sequence, family: CurveFamily, *, op: str = "min",
                     labels=None) -> PiecewiseFunction:
-    """Atallah-style serial divide-and-conquer envelope (the oracle path)."""
+    """Atallah-style serial divide-and-conquer envelope (no charges)."""
     return envelope_serial(fns, family, op=op, labels=labels)
 
 

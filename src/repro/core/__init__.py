@@ -14,12 +14,9 @@ from .containment import (
     smallest_enclosing_cube_ever,
 )
 from .envelope import (
-    combine_map,
-    combine_map_serial,
     combine_pairwise,
     combine_pairwise_serial,
     envelope,
-    envelope_on,
     envelope_serial,
     threshold_indicator,
 )
@@ -43,8 +40,8 @@ __all__ = [
     "containment_intervals", "coordinate_extent_functions",
     "enclosing_cube_edge_function", "indicator_intervals",
     "smallest_enclosing_cube_ever",
-    "combine_map", "combine_map_serial", "combine_pairwise",
-    "combine_pairwise_serial", "envelope", "envelope_on", "envelope_serial",
+    "combine_pairwise", "combine_pairwise_serial", "envelope",
+    "envelope_serial",
     "threshold_indicator",
     "CurveFamily", "PolynomialFamily",
     "AngleCurve", "AngleFamily", "all_hull_membership_intervals",

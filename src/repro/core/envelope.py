@@ -1,24 +1,35 @@
 """Constructing the MIN (and MAX) function — Section 3 of the paper.
 
-Two independent implementations are provided:
+One host geometry computes every envelope: Lemma 3.1's ``op(F, G)``
+(:func:`_combine_geometry`) inside Theorem 3.2's combine tree
+(:func:`_envelope_geometry`, whose large tree levels run as one columnar
+pass each in :mod:`repro.core._envelope_kernel`).  The pieces depend on
+the curves alone; the entry points differ only in what they charge:
 
-* :func:`envelope_serial` / :func:`combine_pairwise_serial` — a plane-sweep
-  divide-and-conquer used as the library's correctness oracle (the serial
-  model of Atallah 1985);
+* :func:`envelope_serial` / :func:`combine_pairwise_serial` — the geometry
+  alone, with no machine and no charges (the serial model of Atallah
+  1985);
 * :func:`envelope` / :func:`combine_pairwise` — the paper's parallel
-  algorithm run on a simulated :class:`~repro.machines.machine.Machine`,
-  built from the Section 2.6 data movement operations so that the simulated
-  parallel time exhibits the Theta-bounds of Lemma 3.1 and Theorem 3.2
-  (``Theta(sqrt(m))`` per combine on the mesh, ``Theta(log m)`` on the
-  hypercube; ``Theta(lambda^{1/2})`` / ``Theta(log^2 n)`` overall).
-  :func:`envelope_on` costs one combine tree on several machines: the
-  pieces depend on the curves alone, the machine only on the charges.
+  algorithm on a simulated :class:`~repro.machines.machine.Machine`: the
+  same pieces, charged as the Section 2.6 data movement operations would
+  run them, so that the simulated parallel time exhibits the Theta-bounds
+  of Lemma 3.1 and Theorem 3.2 (``Theta(sqrt(m))`` per combine on the
+  mesh, ``Theta(log m)`` on the hypercube; ``Theta(lambda^{1/2})`` /
+  ``Theta(log^2 n)`` overall).  On a
+  :class:`~repro.machines.machine.MachineGroup`, :func:`envelope` costs
+  one combine tree on every member.
 
-Both support *partial* functions (pieces with gaps) as required by
-Lemma 3.3 / Theorem 3.4, both support ``op`` in {"min", "max"}, and the same
-machinery computes arithmetic combinations (sum/difference/product pieces,
-needed by Theorems 4.5–4.7) — the paper notes the algorithm "can be used to
-compute the result of applying any of a variety of operations".
+The reference array path (``set_fast_combine(False)``) runs Lemma 3.1
+literally, over power-of-two strings of record slots through the data
+movement operations themselves.  It is the oracle the geometry's pieces
+and the replayed charges are checked against.
+
+Every entry point supports *partial* functions (pieces with gaps) as
+required by Lemma 3.3 / Theorem 3.4 and ``op`` in {"min", "max"}, and the
+same machinery computes arithmetic combinations (sum/difference/product
+pieces, needed by Theorems 4.5–4.7) — the paper notes the algorithm "can
+be used to compute the result of applying any of a variety of
+operations".
 
 Implementation note on Lemma 3.1, Step 4.  The paper assigns intersection
 work to PEs by cases (a piece of ``g`` handles interior overlaps, the PEs of
@@ -64,12 +75,9 @@ from .family import CurveFamily
 
 __all__ = [
     "envelope",
-    "envelope_on",
     "envelope_serial",
     "combine_pairwise",
     "combine_pairwise_serial",
-    "combine_map",
-    "combine_map_serial",
     "threshold_indicator",
     "normalize_inputs",
 ]
@@ -108,103 +116,28 @@ def _check_op(op: str) -> None:
 
 
 # ======================================================================
-# Serial oracle (plane sweep)
+# Serial entry points: the geometry alone, no machine
 # ======================================================================
-def _cut_points(F: PiecewiseFunction, G: PiecewiseFunction,
-                family: CurveFamily, with_crossings: bool) -> list[float]:
-    """All envelope breakpoint candidates: interval endpoints + crossings."""
-    cuts = set()
-    for p in list(F.pieces) + list(G.pieces):
-        cuts.add(p.lo)
-        if math.isfinite(p.hi):
-            cuts.add(p.hi)
-    if with_crossings:
-        # Collect every overlapping pair first, then resolve the crossing
-        # queries in one batched dispatch instead of per-pair.
-        queries = []
-        for p in F.pieces:
-            for q in G.pieces:
-                lo, hi = max(p.lo, q.lo), min(p.hi, q.hi)
-                if lo + _eps(lo) < hi and not family.same(p.fn, q.fn):
-                    queries.append((p.fn, q.fn, lo, hi))
-        if queries:
-            family.prefetch_crossings(
-                dict.fromkeys((f, g) for f, g, _, _ in queries)
-            )
-            for f, g, lo, hi in queries:
-                cuts.update(family.crossings(f, g, lo, hi))
-    return sorted(cuts)
-
-
-def _choose(p: Piece | None, q: Piece | None, t: float,
-            family: CurveFamily, op: str) -> Piece | None:
-    """The winning piece at sample time ``t`` (op over *defined* curves)."""
-    if p is None:
-        return q
-    if q is None:
-        return p
-    if family.same(p.fn, q.fn):
-        return p
-    a, b = family.value(p.fn, t), family.value(q.fn, t)
-    if op == "min":
-        return p if a <= b else q
-    return p if a >= b else q
-
-
 def combine_pairwise_serial(F: PiecewiseFunction, G: PiecewiseFunction,
                             family: CurveFamily, op: str = "min") -> PiecewiseFunction:
-    """Serial sweep computing ``op(F, G)`` with gap (partial-domain) support.
+    """``op(F, G)`` with gap (partial-domain) support, charged nowhere.
 
     For selection ops the result follows the smaller/larger defined curve;
     for arithmetic ops the result is defined on the common domain only
     (differences of members of a family, Lemma 2.5/2.6).
     """
     _check_op(op)
-    select = op in _SELECT_OPS
-    if not F.pieces:
-        return PiecewiseFunction(list(G.pieces), validate=False) if select \
-            else PiecewiseFunction.empty()
-    if not G.pieces:
-        return PiecewiseFunction(list(F.pieces), validate=False) if select \
-            else PiecewiseFunction.empty()
-    cuts = _cut_points(F, G, family, with_crossings=select)
-    out: list[Piece] = []
-    spans = list(zip(cuts, cuts[1:])) + [(cuts[-1], INF)]
-    for lo, hi in spans:
-        if hi - lo <= _eps(lo):
-            continue
-        mid = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        p = F.piece_at(mid)
-        q = G.piece_at(mid)
-        if select:
-            win = _choose(p, q, mid, family, op)
-            if win is None:
-                continue
-            out.append(Piece(lo, hi, win.fn, win.label))
-        else:
-            if p is None or q is None:
-                continue
-            out.append(Piece(lo, hi, family.combine(p.fn, q.fn, op),
-                             (p.label, q.label)))
-    same = (lambda a, b: family.same(a.fn, b.fn) and a.label == b.label) if select \
-        else (lambda a, b: a.fn == b.fn and a.label == b.label)
-    return PiecewiseFunction(out, validate=False).fused(same)
+    return _combine_geometry(F, G, family, op)[0]
 
 
 def envelope_serial(fns: Sequence, family: CurveFamily, *, op: str = "min",
                     labels=None) -> PiecewiseFunction:
-    """Serial divide-and-conquer envelope of ``n`` (possibly partial) curves."""
+    """Divide-and-conquer envelope of ``n`` (possibly partial) curves:
+    :func:`envelope`'s pieces, charged nowhere."""
     level = normalize_inputs(fns, labels)
     if not level:
         return PiecewiseFunction.empty()
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(combine_pairwise_serial(level[i], level[i + 1], family, op))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    return _envelope_geometry(level, family, op)[0]
 
 
 # ======================================================================
@@ -322,7 +255,7 @@ def _combine_pairwise_array(machine: Machine, F: PiecewiseFunction,
     nxt[-1] = INF
     machine.exchange(L, 0)
     if select:
-        _prefetch_gap_pairs(end, nxt, active_f, active_g, family, L)
+        _prefetch_gap_pairs(zip(end, nxt, active_f, active_g), family)
     with machine.phase("cross"):
         subs = np.empty(L, dtype=object)
         for i in range(L):
@@ -378,26 +311,21 @@ def _gap_subpieces(lo, hi, pf, pg, family: CurveFamily, op: str):
     return out
 
 
-def _prefetch_gap_pairs(end, nxt, active_f, active_g,
-                        family: CurveFamily, L: int) -> None:
-    """Warm the crossing cache for every distinct active pair of Step 4.
+def _prefetch_gap_pairs(gaps, family: CurveFamily) -> None:
+    """Warm the crossing cache for the distinct curve pairs that Step 4
+    queries, given the ``(lo, hi, pf, pg)`` gaps of one combine.
 
-    Collecting the pairs up front lets the family resolve all of a
-    combine's crossing queries in one batched dispatch instead of one
-    eigensolve per gap.
+    Those are the pairs of the nondegenerate two-sided gaps whose curves
+    are not ``family.same`` (:func:`_gap_subpieces` answers a ``same``
+    pair without crossings), in first-gap order, as the columnar kernel
+    collects them.  Collecting them up front lets the family resolve all
+    of a combine's crossing queries in one batched dispatch instead of
+    one eigensolve per gap.
     """
-    pairs = {}
-    for i in range(L):
-        pf = active_f[i]
-        pg = active_g[i]
-        if (
-            pf is not None
-            and pg is not None
-            and math.isfinite(end[i])
-            and nxt[i] - end[i] > _eps(end[i])
-            and pf.fn is not pg.fn
-        ):
-            pairs[(pf.fn, pg.fn)] = None
+    pairs = dict.fromkeys(
+        (pf.fn, pg.fn) for lo, hi, pf, pg in gaps
+        if pf is not None and pg is not None and math.isfinite(lo)
+        and hi - lo > _eps(lo) and not family.same(pf.fn, pg.fn))
     if pairs:
         family.prefetch_crossings(pairs)
 
@@ -449,18 +377,7 @@ def _combine_geometry(F: PiecewiseFunction, G: PiecewiseFunction,
         nxt = recs[i + 1][0] if i + 1 < n_rec else INF
         gaps.append((end, nxt, cur_f, cur_g))
     if select:
-        pairs = {}
-        for lo, hi, pf, pg in gaps:
-            if (
-                pf is not None
-                and pg is not None
-                and math.isfinite(lo)
-                and hi - lo > _eps(lo)
-                and pf.fn is not pg.fn
-            ):
-                pairs[(pf.fn, pg.fn)] = None
-        if pairs:
-            family.prefetch_crossings(pairs)
+        _prefetch_gap_pairs(gaps, family)
     subs = [_gap_subpieces(lo, hi, pf, pg, family, op)
             for lo, hi, pf, pg in gaps]
 
@@ -595,52 +512,40 @@ def envelope(machine: Machine | MachineGroup, fns: Sequence,
 
     Partial functions (:class:`PiecewiseFunction` inputs with gaps) are
     accepted, implementing Theorem 3.4.  The result's pieces are ordered by
-    their intervals, as the paper requires.  On a
-    :class:`~repro.machines.machine.MachineGroup` this is
-    :func:`envelope_on` over its members.
+    their intervals, as the paper requires.
+
+    The envelope's pieces depend on the curves alone; a machine decides
+    only the charges.  So the combine tree is built once, recording each
+    combine's shape, and the machine (every member of a
+    :class:`~repro.machines.machine.MachineGroup`) is then charged level
+    by level, as the theorem counts: each level adds the slowest
+    sibling's memoised combine schedule (:func:`_charge_tree`).  Under a
+    tracer each combine is replayed on its own sub-machine instead, so its
+    phase spans open.  Each member's metrics (and, under a tracer, its
+    ``envelope`` span tree) equal a solo run's.  Host time of the shared
+    geometry is attributed to the first member, under ``cross``.
+
+    With the fast combine off (``set_fast_combine(False)``) every member
+    runs every combine through the reference array path instead.
     """
     machines = (machine.members if isinstance(machine, MachineGroup)
                 else (machine,))
-    return envelope_on(machines, fns, family, op=op, labels=labels)
-
-
-def envelope_on(machines: Iterable[Machine], fns: Sequence,
-                family: CurveFamily, *, op: str = "min",
-                labels=None) -> PiecewiseFunction:
-    """:func:`envelope` on several machines, sharing one combine tree.
-
-    The envelope's pieces depend on the curves alone; a machine decides
-    only the charges.  So the Theorem 3.2 combine tree is built once,
-    recording each combine's shape, and every machine is then charged
-    level by level, as the theorem counts: each level adds the slowest
-    sibling's memoised combine schedule (:func:`_charge_tree`).  Under a
-    tracer each combine is replayed on its own sub-machine instead, so its
-    phase spans open.  Each machine's metrics (and, under a tracer, its
-    ``envelope`` span tree) equal a solo run's.  Host time of the shared
-    geometry is attributed to the first machine, under ``cross``.
-
-    With the fast combine off (``set_fast_combine(False)``) every machine
-    runs every combine through the reference array path instead.
-    """
-    machines = tuple(machines)
-    if not machines:
-        raise OperationContractError("envelope_on needs at least one machine")
     level = normalize_inputs(fns, labels)
     if not level:
         return PiecewiseFunction.empty()
     if not _FAST_COMBINE:
-        for machine in machines:
-            out = _envelope_array(machine, level, family, op)
+        for member in machines:
+            out = _envelope_array(member, level, family, op)
         return out
     with machines[0].metrics.host_time("cross"):
         out, tree = _envelope_geometry(level, family, op)
     charge_tree = _charge_tree_traced if tracing_enabled() else _charge_tree
-    for machine in machines:
-        with trace_span("envelope", machine.metrics, category="driver",
+    for member in machines:
+        with trace_span("envelope", member.metrics, category="driver",
                         n=len(level), op=op):
             # Step 1 of Theorem 3.2: distribute the descriptions (a route).
-            machine.monotone_route(next_pow2(len(level)))
-            charge_tree(machine, tree, family.s)
+            member.monotone_route(next_pow2(len(level)))
+            charge_tree(member, tree, family.s)
     return out
 
 
@@ -704,7 +609,7 @@ def _envelope_geometry(level: list[PiecewiseFunction], family: CurveFamily,
     """The Theorem 3.2 combine tree, machine-free: ``(envelope, tree)``.
 
     ``tree`` lists each level's combines as ``(sub-machine length,
-    shape)`` pairs, in the order :func:`envelope_on` charges them.  A
+    shape)`` pairs, in the order :func:`envelope` charges them.  A
     large level's combines are computed together, in one columnar pass
     (:func:`~repro.core._envelope_kernel.envelope_levels`); the small
     levels left are walked combine by combine (:func:`_combine_geometry`).
@@ -808,26 +713,8 @@ def _absorb_parallel(machine: Machine, branches) -> None:
 
 
 # ======================================================================
-# Convenience wrappers used by Sections 4 and 5
+# Threshold indicators (Sections 4 and 5)
 # ======================================================================
-def combine_map_serial(F: PiecewiseFunction, G: PiecewiseFunction,
-                       family: CurveFamily, kind: str) -> PiecewiseFunction:
-    """Pieces of ``F (op) G`` on the common domain (cf. Lemma 2.5).
-
-    Each nondegenerate intersection of a piece of F with a piece of G yields
-    one piece whose curve is ``family.combine`` of the two; by Lemma 2.5
-    there are at most ``m + n`` of them.
-    """
-    return combine_pairwise_serial(F, G, family, kind)
-
-
-def combine_map(machine: Machine, F: PiecewiseFunction, G: PiecewiseFunction,
-                family: CurveFamily, kind: str) -> PiecewiseFunction:
-    """Machine version of :func:`combine_map_serial` (same movement as
-    Lemma 3.1 minus the root solving)."""
-    return combine_pairwise(machine, F, G, family, kind)
-
-
 def threshold_indicator(F: PiecewiseFunction, family: CurveFamily,
                         threshold: float, *, relation: str = "le",
                         machine: Machine | None = None) -> PiecewiseFunction:

@@ -110,7 +110,9 @@ class CurveFamily:
     def combine(self, f, g, kind: str):
         """The curve ``f (op) g`` for arithmetic ``kind`` in {sum, diff, ...}.
 
-        Optional; needed only by :func:`repro.core.envelope.combine_map`.
+        Optional; needed only by the arithmetic ops ("sum", "diff",
+        "product") of :func:`repro.core.envelope.combine_pairwise` and
+        :func:`~repro.core.envelope.combine_pairwise_serial` (Lemma 2.5).
         """
         raise NotImplementedError(f"{type(self).__name__} cannot combine curves")
 

@@ -279,7 +279,7 @@ def hull_membership_intervals(machine: Machine | None, system: PointSystem,
                               query: int = 0) -> list[tuple[float, float]]:
     """Theorem 4.5: ordered intervals when ``P_query`` is a hull vertex.
 
-    ``machine=None`` runs the serial oracle path; otherwise the envelopes
+    ``machine=None`` runs the serial path; otherwise the envelopes
     and combines run on the machine, totalling
     ``Theta(lambda^{1/2}(n, 4k))`` mesh / ``Theta(log^2 n)`` hypercube time.
     """

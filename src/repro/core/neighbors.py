@@ -62,7 +62,7 @@ def closest_point_sequence(machine: Machine | None, system: PointSystem,
 
     The returned piecewise function is ``min_j d^2_{query,j}(t)`` with piece
     labels identifying the closest point on each interval; ``.labels()`` is
-    the paper's sequence ``R``.  ``machine=None`` runs the serial oracle.
+    the paper's sequence ``R``.  ``machine=None`` runs the serial path.
     """
     fns, labels = distance_squared_functions(machine, system, query)
     family = PolynomialFamily(2 * max(1, system.k))

@@ -27,7 +27,7 @@ than approximate:
   resolves ties toward the F side, the engine resolves toward the lower
   insertion rank, which is the same curve;
 * **reference fusing** — repaired pieces are fused with the exact
-  ``(family.same, label)`` rule of the serial oracle, so maximal pieces
+  ``(family.same, label)`` rule of the envelope geometry, so maximal pieces
   have the same extents.
 
 Updates localize: an insert only touches pieces the new curve actually

@@ -312,9 +312,10 @@ class MachineGroup:
     it: the answer is computed once, and every charge call and every
     :meth:`phase` goes to each member in member order, so each member's
     metrics equal a solo run's.  Two entry points handle a group
-    themselves: ``envelope`` hands the members to ``envelope_on`` (one
-    combine tree, costed per member), and ``bitonic_sort`` charges each
-    ``randomized`` member its own Valiant-routed rounds.
+    themselves: ``envelope`` builds one combine tree and costs it on each
+    member (the only way to fan one envelope out to several machines),
+    and ``bitonic_sort`` charges each ``randomized`` member its own
+    Valiant-routed rounds.
 
     A group is not a :class:`Machine` and owns no :class:`Metrics`.
     :attr:`metrics` is the lead (first) member's accumulator, used only

@@ -17,10 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..analysis import geometric_sizes, polylog_fit, power_fit
-from ..core.envelope import envelope_on
+from ..core.envelope import envelope
 from ..core.family import PolynomialFamily
 from ..kinetics.polynomial import Polynomial
 from ..machines.machine import (
+    MachineGroup,
     ccc_machine,
     hypercube_machine,
     mesh_machine,
@@ -50,7 +51,7 @@ def rows() -> list[list]:
     times: dict[str, list[float]] = {name: [] for name in NETWORKS}
     for n in SIZES:
         machines = {name: mk(n) for name, mk in NETWORKS.items()}
-        envelope_on(machines.values(), _curves(n), FAMILY)
+        envelope(MachineGroup(machines.values()), _curves(n), FAMILY)
         for name, machine in machines.items():
             times[name].append(machine.metrics.time)
     cube = times["hypercube"][-1]

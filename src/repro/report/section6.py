@@ -6,10 +6,10 @@ import numpy as np
 
 from ..analysis import geometric_sizes
 from ..baselines.pram import chandran_mount_steps, crcw_round_cost
-from ..core.envelope import envelope_on
+from ..core.envelope import envelope
 from ..core.family import PolynomialFamily
 from ..kinetics.polynomial import Polynomial
-from ..machines.machine import hypercube_machine, mesh_machine
+from ..machines.machine import MachineGroup, hypercube_machine, mesh_machine
 
 TITLE = "Section 6: native vs direct PRAM simulation"
 
@@ -28,7 +28,7 @@ def native_times(*machine_factories) -> list[list[float]]:
     out = []
     for n in SIZES:
         machines = [mk(n) for mk in machine_factories]
-        envelope_on(machines, curves(n), FAMILY)
+        envelope(MachineGroup(machines), curves(n), FAMILY)
         out.append([m.metrics.time for m in machines])
     return out
 

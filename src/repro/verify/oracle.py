@@ -2,10 +2,13 @@
 
 For each registered dynamic algorithm, an instance is generated from a
 seeded adversarial family (:mod:`repro.verify.generators`), the serial
-baseline (``machine=None`` — the Atallah-style oracle path every algorithm
+baseline (``machine=None`` — the charge-free entry point every algorithm
 ships) computes the reference output, and the mesh machine, hypercube
 machine and CREW PRAM baseline recompute it — each with the host-side
-fast-combine path both **on** and **off**.  Checks, per backend:
+fast-combine path both **on** and **off**.  The serial baseline and the
+fast combine share one envelope geometry; with the fast combine off the
+machines run the reference array path of Lemma 3.1, an independent
+construction.  Checks, per backend:
 
 * output equivalence to tolerance against the serial reference
   (:func:`repro.verify.compare.outputs_match` — value-based, so tie

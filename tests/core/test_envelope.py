@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.envelope import (
-    combine_map_serial,
     combine_pairwise,
     combine_pairwise_serial,
     envelope,
@@ -266,6 +265,8 @@ class TestMachineEnvelope:
 
 
 class TestCombineMap:
+    """Arithmetic ops of ``combine_pairwise(_serial)`` (Lemma 2.5)."""
+
     def test_difference_of_piecewise(self):
         """a(t) - d(t) pieces generated by differences (Theorem 4.5 step 2)."""
         f = PiecewiseFunction([
@@ -276,7 +277,7 @@ class TestCombineMap:
             Piece(0.0, 4.0, Polynomial([0.0, 0.5]), "r"),
             Piece(4.0, INF, Polynomial([2.0]), "s"),
         ])
-        diff = combine_map_serial(f, g, FAM1, "diff")
+        diff = combine_pairwise_serial(f, g, FAM1, op="diff")
         # Lemma 2.5: at most m + n = 4 nondegenerate intersections.
         assert len(diff) <= 4
         for t in (1.0, 3.0, 5.0):
@@ -291,7 +292,7 @@ class TestCombineMap:
     def test_disjoint_domains_empty(self):
         f = PiecewiseFunction([Piece(0.0, 1.0, Polynomial([1.0]), "f")])
         g = PiecewiseFunction([Piece(2.0, 3.0, Polynomial([1.0]), "g")])
-        assert len(combine_map_serial(f, g, FAM1, "diff")) == 0
+        assert len(combine_pairwise_serial(f, g, FAM1, op="diff")) == 0
 
 
 class TestThresholdIndicator:

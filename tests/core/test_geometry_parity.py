@@ -1,26 +1,36 @@
-"""Byte parity of the machine envelope geometry against the serial sweep.
+"""Byte parity of the envelope geometry against the reference array path.
 
-The machine path computes each Theorem 3.2 tree level in one columnar
-pass (``core/_envelope_kernel.py``); the serial plane sweep
-(``envelope_serial``, ``combine_pairwise_serial``) is an independent
-construction of the same envelope.  Their pieces must agree exactly —
-``lo``, ``hi``, ``label`` and the curve's coefficients compared with
-``==``, never ``approx`` — on every generator kind, including ``tie`` and
-``near_degenerate``, for total and partial inputs and both select ops.
-The batched Step 4 of ``PolynomialFamily`` is also checked gap by gap
-against the scalar loop it replaces, at the filters' tolerance edges.
+Every host envelope runs one geometry (``_combine_geometry``,
+``_envelope_geometry``), whose large Theorem 3.2 tree levels are one
+columnar pass each (``core/_envelope_kernel.py``).  The reference array
+path (``set_fast_combine(False)``) is an independent construction of the
+same envelope: Lemma 3.1's record slots pushed through the data movement
+operations.  Their pieces must agree exactly — ``lo``, ``hi``, ``label``
+and the curve's coefficients compared with ``==``, never ``approx`` — on
+every generator kind, including ``tie`` and ``near_degenerate``, for
+total and partial inputs and every op.  The batched Step 4 of
+``PolynomialFamily`` is also checked gap by gap against the scalar loop
+it replaces, at the filters' tolerance edges, and every level strategy
+must ask the crossing cache the same questions.
+
+Test names keep the ``serial_sweep`` wording of the plane sweep that was
+the reference before the array path, so their ids stay stable.
 """
+
+from functools import cache
 
 import numpy as np
 import pytest
 
 from repro.core.envelope import (
+    _combine_pairwise_array,
+    _envelope_array,
     _envelope_geometry,
     combine_pairwise,
     combine_pairwise_serial,
     envelope,
-    envelope_serial,
     normalize_inputs,
+    set_fast_combine,
 )
 from repro.core import _envelope_kernel as envelope_kernel
 from repro.core import family as family_module
@@ -59,6 +69,25 @@ def _angle_key(F):
              p.fn.dy.coeffs.tolist()) for p in F.pieces]
 
 
+def _array(inputs, family, op):
+    """The reference array path's envelope of ``inputs``."""
+    prev = set_fast_combine(False)
+    try:
+        return _envelope_array(serial_machine(), normalize_inputs(inputs),
+                               family, op)
+    finally:
+        set_fast_combine(prev)
+
+
+@cache
+def _array_key(kind, n, s, partial, op):
+    """:func:`_array` of one generator case, keyed (computed once for
+    both level strategies)."""
+    curves = make_curves(kind, n + s, n, s)
+    inputs = _partial(curves, n) if partial else curves
+    return _poly_key(_array(inputs, PolynomialFamily(s), op))
+
+
 def _partial(curves, seed):
     """Each curve restricted to one to three random intervals, with gaps
     (some inputs end up empty, some reach +inf)."""
@@ -80,14 +109,15 @@ def _partial(curves, seed):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", sorted(CURVE_KINDS))
 def test_machine_geometry_matches_serial_sweep(kind, n):
+    # The geometry against the array path, on the serial machine.
     for s in (1, 2):
         curves = make_curves(kind, n + s, n, s)
-        for inputs in (curves, _partial(curves, n)):
+        for partial, inputs in ((False, curves), (True, _partial(curves, n))):
             for op in ("min", "max"):
                 level = normalize_inputs(inputs)
                 got, _ = _envelope_geometry(level, PolynomialFamily(s), op)
-                want = envelope_serial(inputs, PolynomialFamily(s), op=op)
-                assert _poly_key(got) == _poly_key(want), (kind, n, s, op)
+                want = _array_key(kind, n, s, partial, op)
+                assert _poly_key(got) == want, (kind, n, s, partial, op)
 
 
 @pytest.mark.usefixtures("tree_levels")
@@ -100,7 +130,7 @@ def test_angle_envelopes_match_serial_sweep(kind):
                 for op in ("min", "max"):
                     got = envelope(mesh_machine(256), restricted,
                                    AngleFamily(1), op=op)
-                    want = envelope_serial(restricted, AngleFamily(1), op=op)
+                    want = _array(restricted, AngleFamily(1), op)
                     assert _angle_key(got) == _angle_key(want), (kind, n, op)
 
 
@@ -188,21 +218,44 @@ def test_batched_root_filter_matches_scalar():
 
 @pytest.mark.parametrize("op", ["min", "max", "sum", "diff", "product"])
 def test_single_combine_matches_serial(op):
+    # One combine, serial and on machines, against the array path.
     for seed in range(6):
         curves = make_curves("random", seed, 2, 2)
         F, G = _partial(curves, seed)
+        want = _poly_key(_combine_pairwise_array(
+            serial_machine(), F, G, PolynomialFamily(2), op))
+        got = combine_pairwise_serial(F, G, PolynomialFamily(2), op)
+        assert _poly_key(got) == want, (seed, op)
         for machine in (serial_machine(), mesh_machine(64)):
             got = combine_pairwise(machine, F, G, PolynomialFamily(2), op)
-            want = combine_pairwise_serial(F, G, PolynomialFamily(2), op)
-            assert _poly_key(got) == _poly_key(want), (seed, op)
+            assert _poly_key(got) == want, (seed, op)
+
+
+@pytest.mark.parametrize("op", ["min", "max"])
+@pytest.mark.parametrize("kind", ["near_degenerate", "tie", "degree_boundary"])
+def test_level_strategies_query_the_same_pairs(kind, op, monkeypatch):
+    # Per-combine walks, the shipped split and all-columnar levels prefetch
+    # exactly the pairs Step 4 queries, so the crossing-cache counters
+    # agree, with each other and with the array path.
+    curves = make_curves(kind, 259, 257, 2)
+    stats = []
+    for min_records in (float("inf"), envelope_kernel.MIN_RECORDS, 0):
+        monkeypatch.setattr(envelope_kernel, "MIN_RECORDS", min_records)
+        family = PolynomialFamily(2)
+        _envelope_geometry(normalize_inputs(curves), family, op)
+        stats.append(family.cache_stats())
+    family = PolynomialFamily(2)
+    _array(curves, family, op)
+    stats.append(family.cache_stats())
+    assert stats[1:] == stats[:-1], stats
 
 
 @pytest.mark.usefixtures("tree_levels")
-@pytest.mark.parametrize("serial_first", [True, False])
-def test_tolerance_equal_curves_share_one_family(serial_first):
+@pytest.mark.parametrize("array_first", [True, False])
+def test_tolerance_equal_curves_share_one_family(array_first):
     # f and f + 1e-12 are `same` (and equal as cache keys): whichever
-    # construction fills the shared crossing cache first, both must read
-    # the same envelope out of it.
+    # construction, the geometry or the array path, fills the shared
+    # crossing cache first, both must read the same envelope out of it.
     rng = np.random.default_rng(7)
     base = [Polynomial(rng.uniform(-4, 4, 3)) for _ in range(12)]
     curves = []
@@ -210,10 +263,10 @@ def test_tolerance_equal_curves_share_one_family(serial_first):
         curves += [f, f + Polynomial.constant(1e-12)]
     family = PolynomialFamily(2)
     for op in ("min", "max"):
-        if serial_first:
-            want = envelope_serial(curves, family, op=op)
+        if array_first:
+            want = _array(curves, family, op)
             got = envelope(mesh_machine(64), curves, family, op=op)
         else:
             got = envelope(mesh_machine(64), curves, family, op=op)
-            want = envelope_serial(curves, family, op=op)
+            want = _array(curves, family, op)
         assert _poly_key(got) == _poly_key(want), op
