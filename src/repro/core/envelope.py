@@ -254,13 +254,13 @@ def _combine_pairwise_array(machine: Machine, F: PiecewiseFunction,
     nxt[:-1] = end[1:]
     nxt[-1] = INF
     machine.exchange(L, 0)
-    if select:
-        _prefetch_gap_pairs(zip(end, nxt, active_f, active_g), family)
+    same = (_prefetch_gap_pairs(zip(end, nxt, active_f, active_g), family)
+            if select else None)
     with machine.phase("cross"):
         subs = np.empty(L, dtype=object)
         for i in range(L):
             subs[i] = _gap_subpieces(
-                end[i], nxt[i], active_f[i], active_g[i], family, op
+                end[i], nxt[i], active_f[i], active_g[i], family, op, same
             )
         machine.local(L, count=family.s + 1)
     # Step 5 is implicit: roots come out of the solver sorted, so each PE's
@@ -276,10 +276,13 @@ def _combine_pairwise_array(machine: Machine, F: PiecewiseFunction,
     return PiecewiseFunction(pieces, validate=False)
 
 
-def _gap_subpieces(lo, hi, pf, pg, family: CurveFamily, op: str):
+def _gap_subpieces(lo, hi, pf, pg, family: CurveFamily, op: str,
+                   same: dict | None):
     """Subpieces of op(f, g) on the gap [lo, hi] (Step 4 of Lemma 3.1).
 
     Returned as (lo, hi, fn, label) tuples, ordered left to right.
+    ``same`` holds the ``family.same`` verdicts of
+    :func:`_prefetch_gap_pairs` over the same gaps (selections only).
     """
     if not math.isfinite(lo) or hi - lo <= _eps(lo):
         return []
@@ -302,7 +305,7 @@ def _gap_subpieces(lo, hi, pf, pg, family: CurveFamily, op: str):
     if not select:
         return [(lo, hi, family.combine(pf.fn, pg.fn, op),
                  (pf.label, pg.label))]
-    if family.same(pf.fn, pg.fn):
+    if same[id(pf.fn), id(pg.fn)]:
         return [(lo, hi, pf.fn, pf.label)]
     out = []
     for a, b, f_wins in family.split_gap(pf.fn, pg.fn, lo, hi, op):
@@ -311,23 +314,35 @@ def _gap_subpieces(lo, hi, pf, pg, family: CurveFamily, op: str):
     return out
 
 
-def _prefetch_gap_pairs(gaps, family: CurveFamily) -> None:
+def _prefetch_gap_pairs(gaps, family: CurveFamily) -> dict:
     """Warm the crossing cache for the distinct curve pairs that Step 4
-    queries, given the ``(lo, hi, pf, pg)`` gaps of one combine.
+    queries, given the ``(lo, hi, pf, pg)`` gaps of one combine, and
+    return the ``family.same`` verdicts :func:`_gap_subpieces` needs.
 
-    Those are the pairs of the nondegenerate two-sided gaps whose curves
-    are not ``family.same`` (:func:`_gap_subpieces` answers a ``same``
-    pair without crossings), in first-gap order, as the columnar kernel
-    collects them.  Collecting them up front lets the family resolve all
-    of a combine's crossing queries in one batched dispatch instead of
-    one eigensolve per gap.
+    ``same`` is asked once per distinct pair of curve objects of the
+    nondegenerate two-sided gaps; the verdicts are keyed by the ids of
+    the pair's curves (the curves outlive the combine).  The pairs Step 4
+    queries are the ones that are not ``same`` (:func:`_gap_subpieces`
+    answers a ``same`` pair without crossings), in first-gap order, as
+    the columnar kernel collects them.  Collecting them up front lets the
+    family resolve all of a combine's crossing queries in one batched
+    dispatch instead of one eigensolve per gap.
     """
-    pairs = dict.fromkeys(
-        (pf.fn, pg.fn) for lo, hi, pf, pg in gaps
-        if pf is not None and pg is not None and math.isfinite(lo)
-        and hi - lo > _eps(lo) and not family.same(pf.fn, pg.fn))
+    same: dict = {}
+    pairs = []
+    for lo, hi, pf, pg in gaps:
+        if pf is None or pg is None or not math.isfinite(lo) \
+                or hi - lo <= _eps(lo):
+            continue
+        key = (id(pf.fn), id(pg.fn))
+        if key not in same:
+            same[key] = family.same(pf.fn, pg.fn)
+            if not same[key]:
+                pairs.append((pf.fn, pg.fn))
+    pairs = dict.fromkeys(pairs)
     if pairs:
         family.prefetch_crossings(pairs)
+    return same
 
 
 def _combine_geometry(F: PiecewiseFunction, G: PiecewiseFunction,
@@ -376,9 +391,8 @@ def _combine_geometry(F: PiecewiseFunction, G: PiecewiseFunction,
             cur_g = piece if tie == 1 else None
         nxt = recs[i + 1][0] if i + 1 < n_rec else INF
         gaps.append((end, nxt, cur_f, cur_g))
-    if select:
-        _prefetch_gap_pairs(gaps, family)
-    subs = [_gap_subpieces(lo, hi, pf, pg, family, op)
+    same = _prefetch_gap_pairs(gaps, family) if select else None
+    subs = [_gap_subpieces(lo, hi, pf, pg, family, op, same)
             for lo, hi, pf, pg in gaps]
 
     # Step 6: flatten, fuse + pack.

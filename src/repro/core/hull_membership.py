@@ -60,12 +60,13 @@ class AngleCurve:
     etc., polynomials of degree at most ``k``.
     """
 
-    __slots__ = ("dx", "dy", "j")
+    __slots__ = ("dx", "dy", "j", "_hash")
 
     def __init__(self, dx: Polynomial, dy: Polynomial, j):
         self.dx = dx
         self.dy = dy
         self.j = j
+        self._hash = None
 
     def __call__(self, t: float) -> float:
         return math.atan2(self.dy(t), self.dx(t))
@@ -79,7 +80,11 @@ class AngleCurve:
         return self.j == other.j and self.dx == other.dx and self.dy == other.dy
 
     def __hash__(self) -> int:
-        return hash((self.j, self.dx, self.dy))
+        # Memoised, as Polynomial's: curves key the crossing caches.
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.j, self.dx, self.dy))
+        return h
 
 
 def _cross(f: AngleCurve, g: AngleCurve) -> Polynomial:

@@ -14,10 +14,10 @@ from ...errors import DegenerateSystemError
 from ...kinetics.motion import PointSystem
 from ...kinetics.polynomial import Polynomial
 from ...machines.machine import Machine
-from ...ops import semigroup
 from ...ops._common import next_pow2
 from ...geometry.antipodal import antipodal_pairs, antipodal_pairs_parallel
 from .hull import steady_hull
+from .neighbors import _select
 from .reduction import SteadyValue, steady_points
 
 __all__ = ["steady_farthest_pair", "steady_diameter_squared",
@@ -47,14 +47,9 @@ def steady_farthest_pair(machine: Machine | None,
         (SteadyValue(system.distance_squared(i, j)), (i, j)) for i, j in pairs
     ]
     if machine is not None:
-        length = next_pow2(max(2, len(cands)))
-        vals = np.empty(length, dtype=object)
-        for i in range(length):
-            vals[i] = cands[min(i, len(cands) - 1)]
-        op = np.frompyfunc(lambda a, b: a if a[0] >= b[0] else b, 2, 1)
         with machine.phase("steady-max"):
-            out = semigroup(machine, vals, op)
-        return out[0][1]
+            return _select(machine, cands, np.maximum,
+                           next_pow2(max(2, len(cands))))
     return max(cands, key=lambda c: c[0])[1]
 
 

@@ -45,17 +45,28 @@ def _steady_extreme_neighbor(machine: Machine | None, system: PointSystem,
         with machine.phase("broadcast"):
             op_broadcast(machine, np.zeros(length), marked)
         machine.local(length)  # build d^2_{0j} locally
-        vals = np.empty(length, dtype=object)
-        for i in range(length):
-            vals[i] = d2[min(i, len(d2) - 1)]
-        op = np.frompyfunc(
-            (lambda a, b: a if a[0] <= b[0] else b) if want_min
-            else (lambda a, b: a if a[0] >= b[0] else b), 2, 1)
         with machine.phase("semigroup"):
-            out = semigroup(machine, vals, op)
-        return out[0][1]
+            return _select(machine, d2, np.minimum if want_min
+                           else np.maximum, length)
     key = min if want_min else max
     return key(d2, key=lambda p: p[0])[1]
+
+
+def _select(machine: Machine, cands: list, op, length: int) -> object:
+    """The tag of the first minimal (``np.minimum``) or maximal
+    (``np.maximum``) steady value of ``(value, tag)`` candidates, by a
+    semigroup over the values themselves.
+
+    The object ufuncs keep the first operand on ties, so the winner is
+    the first extreme candidate, as ``min``/``max`` pick it; it is one of
+    the candidates' own value objects, which names its tag.  The
+    ``length`` slots past the candidates repeat the last one.
+    """
+    vals = np.empty(length, dtype=object)
+    for i in range(length):
+        vals[i] = cands[min(i, len(cands) - 1)][0]
+    winner = semigroup(machine, vals, op)[0]
+    return next(tag for value, tag in cands if value is winner)
 
 
 def steady_nearest_neighbor(machine: Machine | None, system: PointSystem,

@@ -11,26 +11,31 @@ sibling merges run on disjoint strings simultaneously, so
 
 the bounds quoted in Tables 3 and 4.  All predicates are comparison-based,
 so both algorithms run unchanged on steady-state coordinates (Lemma 5.1).
+Each hull looks its orientation test up once (:func:`orientation_of`:
+the float kernel for steady coordinates), and the serial hull sorts on
+the points' lowered coordinate columns (:func:`repro.ops.vexec.lower_keys`)
+when they lower, which orders them as the coordinates' own comparisons do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateSystemError
+from ..errors import DegenerateSystemError, OperationContractError
 from ..machines.machine import Machine
 from ..ops import bitonic_merge, bitonic_sort, broadcast, pack, semigroup
 from ..ops._common import next_pow2
-from .primitives import lex_key, orientation
+from ..ops.vexec import lower_keys
+from .primitives import lex_key, orientation, orientation_of
 
 __all__ = ["convex_hull", "convex_hull_parallel", "hull_contains"]
 
 
-def _chain(points: list, idx: list[int]) -> list[int]:
+def _chain(points: list, idx: list[int], orient) -> list[int]:
     """Half-hull scan keeping only strict turns (extreme points)."""
     out: list[int] = []
     for i in idx:
-        while len(out) >= 2 and orientation(
+        while len(out) >= 2 and orient(
             points[out[-2]], points[out[-1]], points[i]
         ) <= 0:
             out.pop()
@@ -38,7 +43,8 @@ def _chain(points: list, idx: list[int]) -> list[int]:
     return out
 
 
-def _extend_chain(points: list, out: list[int], chain: list[int]) -> list[int]:
+def _extend_chain(points: list, out: list[int], chain: list[int],
+                  orient) -> list[int]:
     """Continue :func:`_chain`'s scan from the stack ``out`` over the
     vertices of another group's chain, in place.
 
@@ -48,7 +54,7 @@ def _extend_chain(points: list, out: list[int], chain: list[int]) -> list[int]:
     appended as is, and the scan costs only the tests up to the tangent.
     """
     for k, i in enumerate(chain):
-        while len(out) >= 2 and orientation(
+        while len(out) >= 2 and orient(
             points[out[-2]], points[out[-1]], points[i]
         ) <= 0:
             out.pop()
@@ -79,13 +85,52 @@ def convex_hull(points) -> list[int]:
     pts = list(points)
     if not pts:
         raise DegenerateSystemError("hull of an empty point set")
-    order = sorted(range(len(pts)), key=lambda i: lex_key(pts[i]))
-    # Deduplicate coincident points (keep the first of each run).
-    uniq = [order[0]]
-    for i in order[1:]:
-        if tuple(pts[i]) != tuple(pts[uniq[-1]]):
-            uniq.append(i)
-    return _hull_of_chains(_chain(pts, uniq), _chain(pts, uniq[::-1]))
+    uniq = _sorted_distinct(pts)
+    orient = orientation_of(pts[0])
+    return _hull_of_chains(_chain(pts, uniq, orient),
+                           _chain(pts, uniq[::-1], orient))
+
+
+def _sorted_distinct(pts: list) -> list[int]:
+    """Point indices in stable ``(x, y, ...)`` order, keeping the first
+    of each run of coincident points."""
+    cols = _lower_coordinates(pts)
+    if cols is None:
+        order = sorted(range(len(pts)), key=lambda i: lex_key(pts[i]))
+        uniq = [order[0]]
+        for i in order[1:]:
+            if tuple(pts[i]) != tuple(pts[uniq[-1]]):
+                uniq.append(i)
+        return uniq
+    order = np.lexsort(cols[::-1])  # stable, as sorted() is
+    repeat = np.ones(len(order) - 1, dtype=bool)
+    for c in cols:
+        c = c[order]
+        repeat &= c[1:] == c[:-1]
+    return order[np.concatenate(([True], ~repeat))].tolist()
+
+
+def _lower_coordinates(pts: list) -> list[np.ndarray] | None:
+    """The points' coordinates as lowered comparison columns, or None.
+
+    Exact lexicographic order and equality over the columns are the
+    coordinates' own (:func:`repro.ops.vexec.lower_keys`).  Plain numbers
+    keep the comparison sort, which compares them natively and costs less
+    than lowering them.
+    """
+    dim = len(pts[0])
+    if isinstance(pts[0][0], (int, float, np.number)) \
+            or any(len(p) != dim for p in pts):
+        return None
+    keys = []
+    for k in range(dim):
+        col = np.empty(len(pts), dtype=object)
+        col[:] = [p[k] for p in pts]
+        keys.append(col)
+    try:
+        return lower_keys(keys)
+    except OperationContractError:
+        return None
 
 
 def hull_contains(points, hull_idx: list[int], q) -> bool:
@@ -138,6 +183,7 @@ def convex_hull_parallel(machine: Machine, points) -> list[int]:
     with machine.phase("sort"):
         (_, _, order), _ = bitonic_sort(machine, [xs, ys, np.arange(length)])
     order = [int(i) for i in order if i < n]
+    orient = orientation_of(pts[0])
 
     # Merge levels: groups combine pairwise.  A group is its (lower,
     # upper) chain pair; its hull size sets the level's string length.
@@ -156,14 +202,14 @@ def convex_hull_parallel(machine: Machine, points) -> list[int]:
             machine.local(level_len)
             pack(machine, np.ones(level_len, dtype=bool), [np.zeros(level_len)])
         for a, b in zip(groups[::2], groups[1::2]):
-            merged.append(_stitch(pts, a, b))
+            merged.append(_stitch(pts, a, b, orient))
         if len(groups) % 2:
             merged.append(groups[-1])
         groups = merged
     return _hull_of_chains(*groups[0])
 
 
-def _stitch(pts: list, a: tuple, b: tuple) -> tuple:
+def _stitch(pts: list, a: tuple, b: tuple, orient) -> tuple:
     """Merge the chains of two x-separated groups, ``a`` sorting first.
 
     Every point of ``a`` precedes every point of ``b`` in ``(x, y,
@@ -181,6 +227,8 @@ def _stitch(pts: list, a: tuple, b: tuple) -> tuple:
     a_lower, a_upper = a
     b_lower, b_upper = b
     dup = tuple(pts[a_lower[-1]]) == tuple(pts[b_lower[0]])
-    lower = _extend_chain(pts, list(a_lower), b_lower[1:] if dup else b_lower)
-    upper = _extend_chain(pts, b_upper[:-1] if dup else list(b_upper), a_upper)
+    lower = _extend_chain(pts, list(a_lower), b_lower[1:] if dup else b_lower,
+                          orient)
+    upper = _extend_chain(pts, b_upper[:-1] if dup else list(b_upper),
+                          a_upper, orient)
     return lower, upper

@@ -5,12 +5,21 @@ for ordinary floats *and* for :class:`~repro.core.steady.reduction.SteadyValue`
 coordinates — the property that lets Section 5 of the paper reduce
 steady-state problems to static ones (Lemma 5.1).
 
+A coordinate type may also supply its own orientation test, as a static
+``orientation_kernel(o, a, b)`` on the type: :func:`orientation` runs it
+for points whose first coordinate has that type.  ``SteadyValue`` does,
+with a float kernel that decides without building the product
+polynomials whenever it can prove the answer equals
+:func:`orientation_by_products` on them.  This module stays generic: it
+never imports the steady-state code.
+
 Points are index-able sequences of scalars (tuples, lists, arrays).
 """
 
 from __future__ import annotations
 
-__all__ = ["orientation", "cross", "dot", "dist2", "sign_of", "lex_key"]
+__all__ = ["orientation", "orientation_of", "orientation_by_products",
+           "cross", "dot", "dist2", "sign_of", "lex_key"]
 
 
 def sign_of(v) -> int:
@@ -36,9 +45,25 @@ def dot(o, a, b):
 def orientation(o, a, b) -> int:
     """+1 for a counter-clockwise turn o->a->b, -1 clockwise, 0 collinear.
 
-    The sign of :func:`cross`, read by comparing its two products rather
-    than by subtracting them: one step fewer, and on steady-state scalars
-    no difference polynomial is built.
+    Runs the coordinate type's ``orientation_kernel`` when it has one
+    (see :func:`orientation_of`), else :func:`orientation_by_products`.
+    """
+    return orientation_of(o)(o, a, b)
+
+
+def orientation_of(point):
+    """The orientation test for points with ``point``'s coordinate type.
+
+    Loops over many triples of one point set look the test up once.
+    """
+    return getattr(type(point[0]), "orientation_kernel",
+                   orientation_by_products)
+
+
+def orientation_by_products(o, a, b) -> int:
+    """The sign of :func:`cross`, read by comparing its two products
+    rather than by subtracting them: one step fewer, and on steady-state
+    scalars no difference of the products is built.
     """
     lhs = (a[0] - o[0]) * (b[1] - o[1])
     rhs = (a[1] - o[1]) * (b[0] - o[0])

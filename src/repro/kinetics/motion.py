@@ -130,14 +130,17 @@ class PointSystem:
         if validate:
             starts = np.array([m.position(0.0) for m in ms])
             order = np.lexsort(starts.T[::-1])
-            for a, b in zip(order, order[1:]):
-                # Absolute tolerance only: allclose's default rtol would
-                # scale with coordinate magnitude and misread points 1e-4
-                # apart as coincident in campaign-scale systems.
-                if np.allclose(starts[a], starts[b], rtol=0.0, atol=1e-12):
-                    raise DegenerateSystemError(
-                        f"points {a} and {b} share the initial position {starts[a]}"
-                    )
+            s = starts[order]
+            # Absolute tolerance only (a relative one would scale with
+            # coordinate magnitude and misread points 1e-4 apart as
+            # coincident in campaign-scale systems); starts are finite.
+            close = (np.abs(s[1:] - s[:-1]) <= 1e-12).all(axis=1)
+            if close.any():
+                k = int(np.argmax(close))
+                a, b = order[k], order[k + 1]
+                raise DegenerateSystemError(
+                    f"points {a} and {b} share the initial position {starts[a]}"
+                )
         self.motions: list[Motion] = ms
 
     # ------------------------------------------------------------------

@@ -32,20 +32,47 @@ COEFF_EPS = 1e-11
 ROOT_EPS = 1e-8
 
 
+def _trim(lst: list) -> list:
+    """``lst`` without its trailing coefficients within COEFF_EPS of zero.
+
+    Trims in place; a list trimmed to nothing is the zero polynomial
+    ``[0.0]``.  Every :class:`Polynomial` is stored trimmed, and the
+    steady-state kernel (:mod:`repro.core.steady.reduction`) trims its
+    plain-float differences through here too, so both hold the same lists.
+    """
+    n = len(lst)
+    while n > 1 and -COEFF_EPS <= lst[n - 1] <= COEFF_EPS:
+        n -= 1
+    if n == 1 and -COEFF_EPS <= lst[0] <= COEFF_EPS:
+        return [0.0]
+    if n != len(lst):
+        del lst[n:]
+    return lst
+
+
+def _sub_lists(a: list, b: list) -> list:
+    """The untrimmed coefficient list of ``a - b`` (ascending lists).
+
+    The float operations of :meth:`Polynomial.__sub__`, shared with the
+    steady-state kernel so that both compute bit-identical differences.
+    """
+    if len(a) < len(b):
+        out = [0.0 - y for y in b]
+        for i, x in enumerate(a):
+            out[i] = x - b[i]
+    else:
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] = out[i] - y
+    return out
+
+
 def _init(p: "Polynomial", lst: list) -> None:
     """Validate, trim and install ``lst``, a fresh non-empty float list."""
     for x in lst:
         if not math.isfinite(x):
             raise ValueError("coefficients must be finite")
-    # Trim trailing coefficients within COEFF_EPS of zero.
-    n = len(lst)
-    while n > 1 and -COEFF_EPS <= lst[n - 1] <= COEFF_EPS:
-        n -= 1
-    if n == 1 and -COEFF_EPS <= lst[0] <= COEFF_EPS:
-        lst = [0.0]
-    elif n != len(lst):
-        del lst[n:]
-    p._cl = lst
+    p._cl = _trim(lst)
     p._arr = None
     p._hash = None
     p._rc = None
@@ -196,17 +223,7 @@ class Polynomial:
         return _from_floats([-x for x in self._cl])
 
     def __sub__(self, other) -> "Polynomial":
-        other = _coerce(other)
-        a, b = self._cl, other._cl
-        if len(a) < len(b):
-            out = [0.0 - y for y in b]
-            for i, x in enumerate(a):
-                out[i] = x - b[i]
-        else:
-            out = list(a)
-            for i, y in enumerate(b):
-                out[i] = out[i] - y
-        return _from_floats(out)
+        return _from_floats(_sub_lists(self._cl, _coerce(other)._cl))
 
     def __rsub__(self, other) -> "Polynomial":
         return _coerce(other) + (-self)

@@ -14,11 +14,15 @@ This module is the fast path of the ``"vectorized"`` executor
 * **key lowering** — once per operation, each key array is mapped to one
   or more *numeric comparison columns* (:func:`lower_keys`): native
   bool/int/float arrays pass through, object arrays of python numbers
-  become ``int64``/``float64`` columns, and uniform numeric tuples become
-  one column per position (tuple comparison *is* column-lexicographic).
+  become ``int64``/``float64`` columns, uniform numeric tuples become
+  one column per position (tuple comparison *is* column-lexicographic),
+  and polynomial keys ordered at infinity (``SteadyValue``, through the
+  ``key_coefficients``/``key_tolerance`` protocol, so this module never
+  imports the steady-state code) become one column per degree, highest
+  first, when no column holds two unequal values within the tolerance.
   Lowering is exact by construction — a value that cannot be represented
   with identical comparison semantics (huge ints, ``Fraction``,
-  ``SteadyValue`` sign-test objects, mixed types) refuses to lower, and
+  tolerance-close coefficients, mixed types) refuses to lower, and
   a NaN key raises :class:`~repro.errors.OperationContractError`.
 * **network collapse** — a bitonic *sort* plan sorts every aligned
   segment for any input (0-1 principle), and a *merge* plan does once
@@ -131,12 +135,42 @@ def _lower_scalars(values: Sequence,
     return [col]
 
 
+def _lower_coefficient_keys(values: list) -> list[np.ndarray] | None:
+    """Polynomial keys ordered at infinity -> one column per degree.
+
+    ``values`` share one type implementing the coefficient-key protocol
+    (``SteadyValue``): ``key_coefficients()`` is the ascending coefficient
+    list, and the order is a top-down scan in which a coefficient
+    difference within ``key_tolerance`` ties (Lemma 5.1).  The columns run
+    from the highest degree down, zero-padded to the widest key.  Exact
+    lexicographic order over them equals the tolerant scan when, in every
+    column, adjacent distinct sorted values differ by more than the
+    tolerance in floating point — each scan step then sees a difference
+    that is zero or past the tolerance, with the sign of the exact one
+    (the padding too: ``0.0 - b`` and ``a - 0.0`` are exact).  Otherwise
+    the keys refuse to lower.
+    """
+    tol = type(values[0]).key_tolerance
+    coeffs = [v.key_coefficients() for v in values]
+    width = max(map(len, coeffs))
+    grid = np.array([[0.0] * (width - len(c)) + c[::-1] for c in coeffs],
+                    dtype=np.float64)
+    if not np.isfinite(grid).all():
+        return None
+    gaps = np.diff(np.sort(grid, axis=0), axis=0)
+    if not ((gaps == 0.0) | (gaps > tol)).all():
+        return None  # two unequal coefficients within the tolerance
+    return list(np.ascontiguousarray(grid.T))
+
+
 def _lower_object_column(arr: np.ndarray) -> list[np.ndarray] | None:
     """One object-dtype array -> numeric column(s), or None (not lowerable)."""
     values = arr.tolist()
     kinds = set(map(type, values))
     if all(issubclass(t, _NUMERIC_SCALARS) for t in kinds):
         return _lower_scalars(values, arr, kinds)
+    if len(kinds) == 1 and hasattr(next(iter(kinds)), "key_coefficients"):
+        return _lower_coefficient_keys(values)
     if not all(issubclass(t, tuple) for t in kinds):
         return None
     widths = set(map(len, values))
@@ -173,12 +207,17 @@ def lower_keys(keys: list[np.ndarray]) -> list[np.ndarray] | None:
     return cols
 
 
-def _lower_single_column(values: np.ndarray) -> np.ndarray | None:
-    """One object array -> exactly one numeric column (for the butterfly)."""
+def _lower_select_keys(values: np.ndarray) -> list[np.ndarray] | None:
+    """One object array -> its comparison column(s) (min/max butterfly)."""
     try:
-        cols = _lower_object_column(values)
+        return _lower_object_column(values)
     except OperationContractError:
         return None  # NaN values: a reduction refuses, it does not raise
+
+
+def _lower_single_column(values: np.ndarray) -> np.ndarray | None:
+    """One object array -> exactly one numeric column (sum butterfly)."""
+    cols = _lower_select_keys(values)
     if cols is None or len(cols) != 1:
         return None
     return cols[0]
@@ -331,8 +370,9 @@ def butterfly_vectorized(machine, values: np.ndarray, op,
     """Semigroup butterfly over a lowered column; None means fall back.
 
     ``np.minimum``/``np.maximum`` run as index *selections* — the result
-    slots hold the original objects, chosen by numeric comparison with
-    the same tie rule as the ufunc (ties keep the first operand).
+    slots hold the original objects, chosen by lexicographic comparison
+    over the lowered column(s) with the same tie rule as the ufunc (ties
+    keep the first operand).
     ``np.add`` reruns the reduction over the lowered column and reboxes;
     int columns are refused (python-int sums never wrap, ``int64`` sums
     could).  Charges one fused doubling sweep — identical to the
@@ -340,16 +380,16 @@ def butterfly_vectorized(machine, values: np.ndarray, op,
     """
     length = len(values)
     if op in _SELECT_OPS:
-        col = _lower_single_column(values)
-        if col is None:
+        cols = _lower_select_keys(values)
+        if cols is None:
             _STAT_FALLBACKS.value += 1
             return None
         _STAT_LOWERED.value += 1
         idx = np.arange(length, dtype=np.intp)
         for partner in partners:
-            pv = col[partner]
-            pick = (pv < col) if op is np.minimum else (pv > col)
-            col = np.where(pick, pv, col)
+            pv = [c[partner] for c in cols]
+            pick = lex_gt(cols, pv) if op is np.minimum else lex_gt(pv, cols)
+            cols = [np.where(pick, p, c) for p, c in zip(pv, cols)]
             idx = np.where(pick, idx[partner], idx)
         machine.doubling_sweep(length)
         return values[idx]

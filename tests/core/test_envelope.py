@@ -209,6 +209,39 @@ class TestMachinePairwise:
         for t in (0.5, 1.5, 3.0, 5.5, 50.0):
             assert got(t) == pytest.approx(want(t))
 
+    @pytest.mark.parametrize("op", ["min", "max"])
+    def test_same_is_asked_once_per_distinct_pair(self, op, monkeypatch):
+        # Step 4 needs a family.same verdict on every nondegenerate
+        # two-sided gap; the crossing prefetch asks it once per distinct
+        # curve pair and hands the verdicts on.  F's middle piece meets
+        # G's repeated curve on two gaps.  F and G share no curve object,
+        # so the calls on two distinct objects are exactly Step 4's (the
+        # output fusion asks same only of equal labels, here one curve).
+        fam = PolynomialFamily(2)
+        F = PiecewiseFunction([
+            Piece(0.0, 2.0, Polynomial([3.0, -1.0]), "f0"),
+            Piece(2.0, 9.0, Polynomial([1.0, 0.5]), "f1"),
+            Piece(9.0, INF, Polynomial([0.0, 0.0, 0.1]), "f2"),
+        ])
+        g = Polynomial([2.0, 0.2, -0.01])
+        G = PiecewiseFunction([
+            Piece(0.0, 3.0, g, "g"),
+            Piece(3.0, 5.0, Polynomial([1.0, 0.5]), "g1"),
+            Piece(5.0, 12.0, g, "g"),
+        ])
+        calls = []
+        same = fam.same
+
+        def spy(f, h):
+            if f is not h:
+                calls.append((id(f), id(h)))
+            return same(f, h)
+
+        monkeypatch.setattr(fam, "same", spy)
+        combine_pairwise(mesh_machine(16), F, G, fam, op=op)
+        assert len(calls) >= 4
+        assert len(calls) == len(set(calls))
+
 
 @pytest.mark.usefixtures("fast_combine_mode")
 class TestMachineEnvelope:

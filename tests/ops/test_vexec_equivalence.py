@@ -18,7 +18,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.core.steady import SteadyValue
 from repro.errors import OperationContractError
+from repro.kinetics.polynomial import COEFF_EPS, Polynomial
 from repro.machines import (
     ccc_machine,
     hypercube_machine,
@@ -372,6 +374,119 @@ class TestLowering:
         for name, arr in [("fractions", fractions), ("huge", huge),
                           ("inexact_mixed", inexact), ("ragged", ragged)]:
             assert lower_keys([arr]) is None, name
+
+
+def _steady_values(rng, n):
+    """Steady keys of degree 0..2 on a 1/4 grid: many exact ties, and
+    distinct coefficients far apart, so they lower."""
+    out = np.empty(n, dtype=object)
+    out[:] = [SteadyValue(Polynomial(rng.integers(-2, 3, 1 + i % 3) / 4))
+              for i in range(n)]
+    return out
+
+
+def _tolerance_close_steady(n):
+    """Steady keys with two unequal constants within COEFF_EPS."""
+    out = np.empty(n, dtype=object)
+    out[:] = [SteadyValue(Polynomial([1.0 + (COEFF_EPS / 2 if i % 5 == 0
+                                             else 0.0), (i % 3) - 1.0]))
+              for i in range(n)]
+    return out
+
+
+def _counted(run):
+    """``run`` under both executors; the lowering counters' deltas."""
+    before = vexec_stats()
+    assert_executors_agree(run)
+    after = vexec_stats()
+    return {k: after[k] - before[k] for k in after}
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+@pytest.mark.parametrize("segment_size", [None, 4],
+                         ids=["unsegmented", "segmented"])
+class TestSteadyKeys:
+    """SteadyValue keys lower to coefficient columns, highest degree first."""
+
+    def test_sort(self, kind, segment_size):
+        keys = _steady_values(np.random.default_rng(43), N)
+        tags = np.arange(N)
+
+        def run():
+            m = FACTORIES[kind](N)
+            (k,), (t,) = bitonic_sort(m, keys, [tags],
+                                      segment_size=segment_size)
+            return (k, t), m.metrics
+
+        assert _counted(run) == {"lowered": 1, "fallbacks": 0}
+
+    def test_merge(self, kind, segment_size):
+        seg = segment_size or N
+        keys = _sorted_halves(_steady_values(np.random.default_rng(47), N),
+                              seg)
+        tags = np.arange(N)
+
+        def run():
+            m = FACTORIES[kind](N)
+            (k,), (t,) = bitonic_merge(m, keys, [tags],
+                                       segment_size=segment_size)
+            return (k, t), m.metrics
+
+        assert _counted(run) == {"lowered": 1, "fallbacks": 0}
+
+    def test_close_coefficients_refuse_and_keep_the_tolerant_order(
+            self, kind, segment_size):
+        keys = _tolerance_close_steady(N)
+        assert lower_keys([keys]) is None
+        tags = np.arange(N)
+
+        def run():
+            m = FACTORIES[kind](N)
+            (k,), (t,) = bitonic_sort(m, keys, [tags],
+                                      segment_size=segment_size)
+            return (k, t), m.metrics
+
+        assert _counted(run) == {"lowered": 0, "fallbacks": 1}
+        (k,), _ = bitonic_sort(FACTORIES[kind](N), keys, [tags],
+                               segment_size=segment_size)
+        seg = segment_size or N
+        for start in range(0, N, seg):
+            run_ = k[start:start + seg].tolist()
+            assert all(a.compare(b) <= 0 for a, b in zip(run_, run_[1:]))
+
+
+@pytest.mark.parametrize("kind", sorted(FACTORIES))
+def test_steady_select_butterflies_pick_the_same_objects(kind):
+    # Ties keep the first operand under both executors, so the winners
+    # are the same objects, not merely equal values.
+    vals = _steady_values(np.random.default_rng(53), N)
+    out = {}
+    before = vexec_stats()
+    for mode in ("vectorized", "reference"):
+        prev = set_executor(mode)
+        try:
+            m = FACTORIES[kind](N)
+            out[mode] = ([semigroup(m, vals, op) for op in
+                          (np.minimum, np.maximum)], sim_snapshot(m.metrics))
+        finally:
+            set_executor(prev)
+    after = vexec_stats()
+    assert (after["lowered"] - before["lowered"],
+            after["fallbacks"] - before["fallbacks"]) == (2, 0)
+    (got, got_sim), (want, want_sim) = out["vectorized"], out["reference"]
+    assert got_sim == want_sim
+    for g, w in zip(got, want):
+        assert all(a is b for a, b in zip(g, w))
+
+
+def test_steady_columns_run_from_the_highest_degree():
+    keys = np.empty(3, dtype=object)
+    keys[:] = [SteadyValue(Polynomial(c)) for c in
+               ([1.0, 2.0, 3.0], [4.0], [0.5, -1.0])]
+    cols = lower_keys([keys])
+    assert [c.tolist() for c in cols] == [[3.0, 0.0, 0.0],
+                                          [2.0, 0.0, -1.0],
+                                          [1.0, 4.0, 0.5]]
 
 
 def _nan_keys():

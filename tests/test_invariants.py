@@ -6,6 +6,7 @@ far-future snapshots, and the documented failure modes of malformed input.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ class TestFailureInjection:
             PointSystem([
                 Motion.linear([1.0, 1.0], [0.0, 1.0]),
                 Motion.linear([1.0, 1.0], [1.0, 0.0]),
+            ])
+
+    def test_coincident_starts_name_the_first_pair_in_lexsort_order(self):
+        # Two coincident pairs (within the 1e-12 absolute tolerance): the
+        # message names the one whose starts sort first, (1, 5).
+        with pytest.raises(DegenerateSystemError, match=re.escape(
+                "points 1 and 3 share the initial position [1. 5.]")):
+            PointSystem([
+                Motion.linear([2.0, 0.0], [0.0, 1.0]),
+                Motion.linear([1.0, 5.0], [1.0, 0.0]),
+                Motion.linear([2.0, 1e-13], [1.0, 1.0]),
+                Motion.linear([1.0, 5.0 + 1e-13], [0.0, -1.0]),
             ])
 
     def test_empty_envelope_inputs(self):
