@@ -29,10 +29,11 @@ from ..machines.machine import Machine
 from ..ops import semigroup
 from ..ops._common import next_pow2
 from .envelope import (
+    _build_envelopes,
+    _charge_envelope,
     combine_pairwise,
     combine_pairwise_serial,
-    envelope,
-    envelope_serial,
+    normalize_inputs,
     threshold_indicator,
 )
 from .family import PolynomialFamily
@@ -49,12 +50,6 @@ def _family(system: PointSystem) -> PolynomialFamily:
     return PolynomialFamily(max(1, system.k))
 
 
-def _envelope(machine, fns, family, op, labels):
-    if machine is None:
-        return envelope_serial(fns, family, op=op, labels=labels)
-    return envelope(machine, fns, family, op=op, labels=labels)
-
-
 def _combine(machine, F, G, family, op):
     if machine is None:
         return combine_pairwise_serial(F, G, family, op)
@@ -69,12 +64,18 @@ def coordinate_extent_functions(machine: Machine | None,
     polynomial with at most ``2 * lambda(n, k)`` pieces (Lemma 2.5).
     """
     fam = _family(system)
+    labels = list(range(len(system)))
+    # The 2d envelopes are independent instances: built as one forest,
+    # then charged in the order m_0, M_0, D_0, m_1, ...
+    trees = [(normalize_inputs([m[axis] for m in system.motions], labels),
+              op)
+             for axis in range(system.dimension) for op in ("min", "max")]
+    built = _build_envelopes(machine, trees, fam)
     spreads = []
-    for axis in range(system.dimension):
-        coords = [m[axis] for m in system.motions]
-        labels = list(range(len(system)))
-        m_i = _envelope(machine, coords, fam, "min", labels)
-        M_i = _envelope(machine, coords, fam, "max", labels)
+    for i in range(0, len(trees), 2):
+        m_i, M_i = [_charge_envelope(machine, fns, fam, op, tree)
+                    for (fns, op), tree in zip(trees[i:i + 2],
+                                               built[i:i + 2])]
         spreads.append(_combine(machine, M_i, m_i, fam, "diff"))
     return spreads
 

@@ -69,6 +69,7 @@ from ..ops import (
     unpack_lists,
 )
 from ..ops._common import next_pow2
+from ..trace.registry import get_counter
 from ..trace.tracer import trace_span, tracing_enabled
 from ._envelope_kernel import envelope_levels
 from .family import CurveFamily
@@ -87,6 +88,10 @@ _EPS = 1e-9
 
 _SELECT_OPS = ("min", "max")
 _MAP_OPS = ("sum", "diff", "product")
+
+#: Combines of envelope trees walked one by one (the levels below the
+#: columnar kernel's ``MIN_RECORDS``).
+_WALKED = get_counter("envelope.combines_walked")
 
 
 def _eps(t: float) -> float:
@@ -542,17 +547,51 @@ def envelope(machine: Machine | MachineGroup, fns: Sequence,
     With the fast combine off (``set_fast_combine(False)``) every member
     runs every combine through the reference array path instead.
     """
-    machines = (machine.members if isinstance(machine, MachineGroup)
-                else (machine,))
     level = normalize_inputs(fns, labels)
     if not level:
         return PiecewiseFunction.empty()
+    (built,) = _build_envelopes(machine, [(level, op)], family)
+    return _charge_envelope(machine, level, family, op, built)
+
+
+def _build_envelopes(machine: Machine | MachineGroup | None, trees: list,
+                     family: CurveFamily) -> list:
+    """The geometry of several independent envelopes of one family,
+    ``(functions, op)`` each, built together (:func:`_forest_geometry`)
+    for :func:`_charge_envelope` to charge one by one.
+
+    The host time goes to ``machine``'s first member, under ``cross``.
+    On the reference array path (a machine, with the fast combine off)
+    nothing is built: every entry is ``None``.
+    """
+    if machine is None:
+        return _forest_geometry(trees, family)
     if not _FAST_COMBINE:
+        return [None] * len(trees)
+    lead = (machine.members[0] if isinstance(machine, MachineGroup)
+            else machine)
+    with lead.metrics.host_time("cross"):
+        return _forest_geometry(trees, family)
+
+
+def _charge_envelope(machine: Machine | MachineGroup | None,
+                     level: list[PiecewiseFunction], family: CurveFamily,
+                     op: str, built) -> PiecewiseFunction:
+    """``envelope(machine, level, family, op=op)`` of a tree built by
+    :func:`_build_envelopes`: its pieces, with exactly :func:`envelope`'s
+    charges on every member (its ``envelope`` span, Step 1's route and
+    the tree's levels), or none for ``machine=None``."""
+    if not level:
+        return PiecewiseFunction.empty()
+    if machine is None:
+        return built[0]
+    machines = (machine.members if isinstance(machine, MachineGroup)
+                else (machine,))
+    if built is None:
         for member in machines:
             out = _envelope_array(member, level, family, op)
         return out
-    with machines[0].metrics.host_time("cross"):
-        out, tree = _envelope_geometry(level, family, op)
+    out, tree = built
     charge_tree = _charge_tree_traced if tracing_enabled() else _charge_tree
     for member in machines:
         with trace_span("envelope", member.metrics, category="driver",
@@ -620,34 +659,45 @@ def _charge_tree_traced(machine: Machine, tree: list, s: int) -> None:
 
 def _envelope_geometry(level: list[PiecewiseFunction], family: CurveFamily,
                        op: str):
-    """The Theorem 3.2 combine tree, machine-free: ``(envelope, tree)``.
+    """The Theorem 3.2 combine tree, machine-free: ``(envelope, tree)``
+    (a forest of one, :func:`_forest_geometry`)."""
+    return _forest_geometry([(level, op)], family)[0]
+
+
+def _forest_geometry(trees: list, family: CurveFamily) -> list:
+    """Several independent Theorem 3.2 combine trees of one family,
+    machine-free: ``(envelope, tree)`` per ``(functions, op)`` tree.
 
     ``tree`` lists each level's combines as ``(sub-machine length,
-    shape)`` pairs, in the order :func:`envelope` charges them.  A
-    large level's combines are computed together, in one columnar pass
+    shape)`` pairs, in the order :func:`envelope` charges them
+    (:func:`_charge_envelope`).  The large forest levels run as one
+    columnar pass each, every tree's combines together
     (:func:`~repro.core._envelope_kernel.envelope_levels`); the small
     levels left are walked combine by combine (:func:`_combine_geometry`).
-    Both give the same pieces and shapes.
+    Both give the same pieces and shapes.  A tree of no functions gives
+    the empty function.
     """
-    if len(level) > 1:
-        _check_op(op)
-        level, tree = envelope_levels(level, family, op)
-    else:
-        tree = []
-    while len(level) > 1:
-        nxt = []
-        combines = []
-        for i in range(0, len(level) - 1, 2):
-            F, G = level[i], level[i + 1]
-            out, shape = _combine_geometry(F, G, family, op)
-            nxt.append(out)
-            combines.append(
-                (4 * max(1, len(F.pieces), len(G.pieces)), shape))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        tree.append(combines)
-        level = nxt
-    return level[0], tree
+    for level, op in trees:
+        if len(level) > 1:
+            _check_op(op)
+    out = []
+    for (level, tree), (_, op) in zip(envelope_levels(trees, family), trees):
+        while len(level) > 1:
+            nxt = []
+            combines = []
+            for i in range(0, len(level) - 1, 2):
+                F, G = level[i], level[i + 1]
+                piece, shape = _combine_geometry(F, G, family, op)
+                nxt.append(piece)
+                combines.append(
+                    (4 * max(1, len(F.pieces), len(G.pieces)), shape))
+            if len(level) % 2:
+                nxt.append(level[-1])
+            tree.append(combines)
+            _WALKED.value += len(combines)
+            level = nxt
+        out.append((level[0] if level else PiecewiseFunction.empty(), tree))
+    return out
 
 
 def _envelope_array(machine: Machine, level: list[PiecewiseFunction],

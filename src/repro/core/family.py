@@ -37,7 +37,7 @@ from ..kinetics.polynomial import (
     COEFF_EPS,
     ROOT_EPS,
     Polynomial,
-    _from_floats,
+    _from_rows,
 )
 from ..trace.registry import get_counter
 
@@ -106,6 +106,27 @@ class CurveFamily:
     def same(self, f, g) -> bool:
         """True when ``f`` and ``g`` are the identical curve."""
         return f is g or f == g
+
+    def same_columns(self, fns: Sequence):
+        """``same(a, b)``: :meth:`same` of ``fns[a[i]]`` and ``fns[b[i]]``
+        for every ``i`` of two index arrays, as a bool array.
+
+        ``fns`` may grow between calls.  This version asks :meth:`same`
+        once per index pair and remembers the verdict; families with
+        array-friendly curves override it.
+        """
+        memo: dict = {}
+
+        def same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            out = []
+            for key in zip(a.tolist(), b.tolist()):
+                hit = memo.get(key)
+                if hit is None:
+                    hit = memo[key] = bool(
+                        self.same(fns[key[0]], fns[key[1]]))
+                out.append(hit)
+            return np.array(out, dtype=bool)
+        return same
 
     def combine(self, f, g, kind: str):
         """The curve ``f (op) g`` for arithmetic ``kind`` in {sum, diff, ...}.
@@ -229,6 +250,36 @@ class CurveFamily:
         """Batch-stage hook: given freshly cached pair entries, run any
         batched precomputation (default: nothing)."""
 
+    def _gap_entries(self, pairs: list, n_gaps: int, build):
+        """The pair cache's entries for ``pairs`` (distinct curve pairs of
+        one :meth:`resolve_gaps` call, in first-gap order) and the ones
+        made here, with the counters of :meth:`prefetch_crossings`
+        followed by ``n_gaps`` :meth:`crossings` calls: one miss per new
+        pair and one hit per gap.  ``build(idx)`` makes the entries of
+        ``pairs[i]`` for ``i`` in ``idx``.  With the cache disabled every
+        entry is made and nothing is stored (one miss per gap).
+        """
+        if not self.cache_enabled:
+            entries = build(range(len(pairs)))
+            self.cache_misses += n_gaps
+            _MISSES.value += n_gaps
+            return entries, entries
+        cache = self._cache()
+        entries = list(map(cache.get, pairs))
+        miss = [i for i, e in enumerate(entries) if e is None]
+        fresh = []
+        for i, e in zip(miss, build(miss)):
+            # A pair equal to one installed earlier in this call reads
+            # that pair's entry, as a lookup after its install would.
+            entries[i] = cache.setdefault(pairs[i], e)
+            if entries[i] is e:
+                fresh.append(e)
+        self.cache_misses += len(fresh)
+        _MISSES.value += len(fresh)
+        self.cache_hits += n_gaps
+        _HITS.value += n_gaps
+        return entries, fresh
+
     def cache_stats(self) -> dict:
         """Hit/miss counters and current cache size, for reporting."""
         total = self.cache_hits + self.cache_misses
@@ -301,61 +352,43 @@ class PolynomialFamily(CurveFamily):
         n = len(lo)
         if not n:
             return f, lo, hi, g  # no gaps: the empty columns serve
-        # Distinct curve pairs, numbered in first-gap order, and the rows
-        # of the curves involved (ascending coefficients, zero-padded).
-        ids: dict = {}
-        pid = np.array([ids.setdefault(key, len(ids))
-                        for key in zip(f.tolist(), g.tolist())])
-        rows = {o: r for r, o in enumerate(dict.fromkeys(chain(*ids)))}
-        C = _padded([fns[o]._cl for o in rows], 0.0)[0]
-        rf = np.array([rows[x] for x, _ in ids])
-        rg = np.array([rows[y] for _, y in ids])
-        entries = self._bulk_entries([(fns[x], fns[y]) for x, y in ids],
-                                     (C[rf] - C[rg]).tolist(), n)
+        pid, pf, pg = _distinct_pairs(f, g)
+        # The rows of the curves involved (ascending coefficients,
+        # zero-padded).
+        own, rf, rg = _rows(pf, pg)
+        C = _padded([fns[o]._cl for o in own], 0.0)[0]
+        D = C[rf] - C[rg]
+        entries, fresh = self._gap_entries(
+            [(fns[x], fns[y]) for x, y in zip(pf.tolist(), pg.tolist())],
+            n, lambda idx: _from_rows(D[idx]))
+        high = [e for e in fresh if e.degree >= 3]
+        if high:
+            warm_root_candidates(high)
         cands, count = _candidates(entries)
         roots, kept = _crossings(cands[pid], count[pid], lo, hi)
-
-        # Subintervals between consecutive bounds [lo, roots..., hi].
-        bounds = np.column_stack((lo, roots, hi))
-        b_gap, b_col = np.column_stack((np.ones(n, dtype=bool), kept,
-                                        np.ones(n, dtype=bool))).nonzero()
-        b_val = bounds[b_gap, b_col]
-        inner = np.nonzero(b_gap[1:] == b_gap[:-1])[0]
-        a, b = b_val[inner], b_val[inner + 1]
-        keep = ~(b - a <= 1e-9 * np.maximum(np.abs(a), 1.0))
-        s_gap, a, b = b_gap[inner[keep]], a[keep], b[keep]
-        mid = np.where(np.isinf(b), a + 1.0, 0.5 * (a + b))
+        s_gap, a, b, mid = _subintervals(lo, hi, roots, kept)
         sp = pid[s_gap]
         va, vb = _horner(C, np.concatenate((rf[sp], rg[sp])),
                          np.concatenate((mid, mid))).reshape(2, -1)
         f_wins = va <= vb if op == "min" else va >= vb
         return s_gap, a, b, np.where(f_wins, f[s_gap], g[s_gap])
 
-    def _bulk_entries(self, pairs: list, diffs: list,
-                      n_gaps: int) -> list[Polynomial]:
-        """The pair cache's entries for ``pairs`` (distinct curve pairs in
-        first-gap order), installing misses from the ``diffs`` rows, with
-        the counters of :meth:`prefetch_crossings` followed by ``n_gaps``
-        :meth:`crossings` calls."""
-        if self.cache_enabled:
-            cache = self._cache()
-            entries, fresh = [], []
-            for key, d in zip(pairs, diffs):
-                e = cache.get(key)
-                if e is None:
-                    e = cache[key] = _from_floats(d)
-                    fresh.append(e)
-                entries.append(e)
-            self.cache_misses += len(fresh)
-            _MISSES.value += len(fresh)
-            self.cache_hits += n_gaps
-            _HITS.value += n_gaps
-        else:
-            entries = fresh = [_from_floats(d) for d in diffs]
-            self.cache_misses += n_gaps
-            _MISSES.value += n_gaps
-        warm_root_candidates([e for e in fresh if e.degree >= 3])
-        return entries
+    def same_columns(self, fns: Sequence[Polynomial]):
+        """:meth:`CurveFamily.same_columns` on zero-padded coefficient
+        rows of ``fns``: equal trimmed lengths and ``|a - b| <= COEFF_EPS
+        + 1e-9 * |b|`` on every coefficient, which is exactly ``f is g or
+        f == g`` (``Polynomial.__eq__``).  The rows are built once, and
+        again only when ``fns`` has grown."""
+        table: list = []
+
+        def same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            if not table or len(table[1]) != len(fns):
+                table[:] = _padded([p._cl for p in fns], 0.0)
+            M, lens = table
+            A, B = M[a], M[b]
+            return (lens[a] == lens[b]) & (
+                np.abs(A - B) <= COEFF_EPS + 1e-9 * np.abs(B)).all(axis=1)
+        return same
 
     def combine(self, f: Polynomial, g: Polynomial, kind: str) -> Polynomial:
         if kind == "sum":
@@ -450,6 +483,45 @@ def _crossings(cands: np.ndarray, count: np.ndarray, lo: np.ndarray,
             seen |= ok[:, j]
     eps = 1e-9 * np.maximum(np.abs(lo), 1.0)
     return y, ok & (lo + eps < y) & (~finite | (y < hi - eps))
+
+
+def _distinct_pairs(f: np.ndarray, g: np.ndarray):
+    """The distinct ``(f[i], g[i])`` index pairs of gap columns, numbered
+    in first-gap order: ``(pair of each gap, f of each pair, g of each
+    pair)``."""
+    _, first, inv = np.unique(f * (int(g.max()) + 1) + g,
+                              return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    keep = first[order]
+    return rank[inv], f[keep], g[keep]
+
+
+def _rows(pf: np.ndarray, pg: np.ndarray):
+    """The distinct indices of ``pf`` and ``pg`` (as a list), and the
+    position of each entry of ``pf`` and of ``pg`` among them."""
+    own, inv = np.unique(np.concatenate((pf, pg)), return_inverse=True)
+    return own.tolist(), inv[:len(pf)], inv[len(pf):]
+
+
+def _subintervals(lo: np.ndarray, hi: np.ndarray, roots: np.ndarray,
+                  kept: np.ndarray):
+    """:meth:`CurveFamily.split_gap`'s cuts for every gap at once: the
+    nondegenerate subintervals ``[a, b]`` between consecutive bounds
+    ``[lo, kept roots..., hi]``, as ``(gap, a, b, mid)`` columns ordered by
+    gap, then left to right, ``mid`` being where the winner is decided."""
+    n = len(lo)
+    bounds = np.column_stack((lo, roots, hi))
+    b_gap, b_col = np.column_stack((np.ones(n, dtype=bool), kept,
+                                    np.ones(n, dtype=bool))).nonzero()
+    b_val = bounds[b_gap, b_col]
+    inner = np.nonzero(b_gap[1:] == b_gap[:-1])[0]
+    a, b = b_val[inner], b_val[inner + 1]
+    keep = ~(b - a <= 1e-9 * np.maximum(np.abs(a), 1.0))
+    a, b = a[keep], b[keep]
+    return (b_gap[inner[keep]], a, b,
+            np.where(np.isinf(b), a + 1.0, 0.5 * (a + b)))
 
 
 def _horner(C: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -28,6 +28,9 @@ exactly the reductions in the proof of Theorem 4.5.
 from __future__ import annotations
 
 import math
+from typing import Sequence
+
+import numpy as np
 
 from ..errors import DegenerateSystemError
 from ..kinetics.batch import warm_root_candidates
@@ -39,12 +42,22 @@ from ..ops._common import next_pow2
 from ..trace.tracer import trace_span
 from .containment import indicator_intervals
 from .envelope import (
+    _build_envelopes,
+    _charge_envelope,
     combine_pairwise,
     combine_pairwise_serial,
-    envelope,
-    envelope_serial,
 )
-from .family import CurveFamily, PolynomialFamily
+from .family import (
+    CurveFamily,
+    PolynomialFamily,
+    _candidates,
+    _crossings,
+    _distinct_pairs,
+    _horner,
+    _padded,
+    _rows,
+    _subintervals,
+)
 
 __all__ = ["AngleCurve", "AngleFamily", "hull_membership_intervals",
            "all_hull_membership_intervals", "angle_restrictions",
@@ -155,6 +168,57 @@ class AngleFamily(CurveFamily):
             return False
         # Parallel for all time; same curve iff same orientation.
         return dot.sign_at_infinity() > 0
+
+    def resolve_gaps(self, lo: np.ndarray, hi: np.ndarray, f: np.ndarray,
+                     g: np.ndarray, fns: Sequence[AngleCurve], op: str):
+        """:meth:`CurveFamily.resolve_gaps` over coefficient columns.
+
+        The subpieces equal per-gap :meth:`split_gap` calls after one
+        :meth:`prefetch_crossings`:
+
+        * pair entries go through the pair cache in first-gap order, new
+          ones from :meth:`_compute_pair` (one miss per new pair, one hit
+          per gap);
+        * the cross polynomials' root candidates come from
+          ``family._candidates`` and ``family._crossings`` filters them
+          for all gaps at once, as ``real_roots`` and the open-interval
+          test of :meth:`_parallel_times` do;
+        * the dot-sign filter is one batched Horner scheme over the dot
+          rows at the clamped roots;
+        * midpoint winners evaluate ``dx`` / ``dy`` by batched Horner
+          and take ``math.atan2`` of each, as :meth:`value` does.
+        """
+        n = len(lo)
+        if not n:
+            return f, lo, hi, g  # no gaps: the empty columns serve
+        pid, pf, pg = _distinct_pairs(f, g)
+        pairs = [(fns[x], fns[y]) for x, y in zip(pf.tolist(), pg.tolist())]
+        entries, fresh = self._gap_entries(
+            pairs, n, lambda idx: [self._compute_pair(*pairs[i])
+                                   for i in idx])
+        high = [c for c, _ in fresh if c.degree >= 3]
+        if high:
+            warm_root_candidates(high)
+        cands, count = _candidates([c for c, _ in entries])
+        roots, kept = _crossings(cands[pid], count[pid], lo, hi)
+        at = kept.nonzero()
+        if len(at[0]):
+            dots = _padded([d._cl for _, d in entries], 0.0)[0]
+            kept[at] = _horner(dots, pid[at[0]], roots[at]) > 0
+        s_gap, a, b, mid = _subintervals(lo, hi, roots, kept)
+
+        # Winners at the midpoints: T_f(mid) against T_g(mid).
+        own, rf, rg = _rows(pf, pg)
+        X = _padded([fns[o].dx._cl for o in own], 0.0)[0]
+        Y = _padded([fns[o].dy._cl for o in own], 0.0)[0]
+        sp = pid[s_gap]
+        which = np.concatenate((rf[sp], rg[sp]))
+        t = np.concatenate((mid, mid))
+        va, vb = np.array(list(map(
+            math.atan2, _horner(Y, which, t).tolist(),
+            _horner(X, which, t).tolist()))).reshape(2, -1)
+        f_wins = va <= vb if op == "min" else va >= vb
+        return s_gap, a, b, np.where(f_wins, f[s_gap], g[s_gap])
 
 
 def angle_restrictions(system: PointSystem, query: int = 0):
@@ -294,25 +358,35 @@ def hull_membership_intervals(machine: Machine | None, system: PointSystem,
         return _membership_body(machine, system, query)
 
 
+#: Lemma 4.4's envelopes: a, b (min, max of the G's) and c, d (of the B's).
+_ENVELOPES = ((0, "min"), (0, "max"), (1, "min"), (1, "max"))
+
+
+def _envelope_trees(restrictions) -> list:
+    """The trees of the a, b, c, d envelopes of every query's ``(G's,
+    B's)`` restrictions, in that order: the defined functions, and the
+    op."""
+    return [([f for f in gs_bs[side] if len(f)], op)
+            for gs_bs in restrictions for side, op in _ENVELOPES]
+
+
 def _membership_body(machine: Machine | None, system: PointSystem,
                      query: int) -> list[tuple[float, float]]:
     fam = AngleFamily(max(1, system.k))
+    trees = _envelope_trees([angle_restrictions(system, query)])
+    return _membership_steps(machine, fam, trees,
+                             _build_envelopes(machine, trees, fam))
+
+
+def _membership_steps(machine: Machine | None, fam: AngleFamily,
+                      trees: list, built: list) -> list[tuple[float, float]]:
+    """Theorem 4.5 for one query from its four built envelopes."""
     const_fam = PolynomialFamily(0)
-    gs, bs = angle_restrictions(system, query)
 
-    def env(fns, op):
-        nonempty = [f for f in fns if len(f)]
-        if not nonempty:
-            return PiecewiseFunction.empty()
-        if machine is None:
-            return envelope_serial(nonempty, fam, op=op)
-        return envelope(machine, nonempty, fam, op=op)
-
-    # Step 1: the four envelopes a, b, c, d (Theorem 3.4 on partial fns).
-    a0 = env(gs, "min")
-    b0 = env(gs, "max")
-    c0 = env(bs, "min")
-    d0 = env(bs, "max")
+    # Step 1: the four envelopes a, b, c, d (Theorem 3.4 on partial fns),
+    # built together as independent instances and charged one by one.
+    a0, b0, c0, d0 = [_charge_envelope(machine, fns, fam, op, tree)
+                      for (fns, op), tree in zip(trees, built)]
 
     # Steps 2–3: indicator functions A, B (pi-threshold on differences)
     # and C, D (joint undefinedness).
@@ -340,12 +414,13 @@ def all_hull_membership_intervals(machine: Machine | None,
     Runs the ``n`` membership instances; on a machine they occupy disjoint
     strings of ``n * lambda(n, 4k)`` PEs and run *simultaneously*, so the
     level cost is the maximum over queries (the same parallel-composition
-    rule as Theorem 3.2).  Returns ``intervals[q]`` for each query ``q``;
-    at any time ``t`` the set ``{q : t in intervals[q]}`` is exactly the
-    vertex set of ``hull(S(t))``.  The instances run on fresh machines of
-    ``machine``'s topology, so a
-    :class:`~repro.machines.machine.MachineGroup` (which has none) raises
-    :class:`~repro.errors.OperationContractError`.
+    rule as Theorem 3.2).  The host builds all ``4n`` envelopes as one
+    forest, then charges each instance on its own machine.  Returns
+    ``intervals[q]`` for each query ``q``; at any time ``t`` the set
+    ``{q : t in intervals[q]}`` is exactly the vertex set of
+    ``hull(S(t))``.  The instances run on fresh machines of ``machine``'s
+    topology, so a :class:`~repro.machines.machine.MachineGroup` (which
+    has none) raises :class:`~repro.errors.OperationContractError`.
     """
     with trace_span("all_hull_membership",
                     None if machine is None else machine.metrics,
@@ -355,21 +430,28 @@ def all_hull_membership_intervals(machine: Machine | None,
 
 def _all_membership_body(machine: Machine | None,
                          system: PointSystem) -> list[list[tuple[float, float]]]:
+    n = len(system)
+    subs = [None] * n
+    if machine is not None:
+        subs = [type(machine)(machine.topology,
+                              randomized=getattr(machine, "randomized",
+                                                 False))
+                for _ in range(n)]
+    fam = AngleFamily(max(1, system.k))
+    trees = _envelope_trees([angle_restrictions(system, q)
+                             for q in range(n)])
+    built = _build_envelopes(machine, trees, fam)
     out = []
-    branch_metrics = []
-    for q in range(len(system)):
-        sub = None
-        if machine is not None:
-            sub = type(machine)(machine.topology,
-                                randomized=getattr(machine, "randomized",
-                                                   False))
-            sub.metrics.reset()
-        out.append(hull_membership_intervals(sub, system, query=q))
-        if sub is not None:
-            branch_metrics.append(sub.metrics)
-    if machine is not None and branch_metrics:
+    for q, sub in enumerate(subs):
+        own = slice(4 * q, 4 * q + 4)
+        with trace_span("hull_membership",
+                        None if sub is None else sub.metrics,
+                        category="driver", n=n, query=q):
+            out.append(_membership_steps(sub, fam, trees[own], built[own]))
+    if machine is not None and subs:
         # Simultaneous instances: charge the slowest.  Wall-clock adds from
         # every instance — the host ran them one after another.
+        branch_metrics = [sub.metrics for sub in subs]
         worst = max(branch_metrics, key=lambda b: b.time)
         machine.metrics.absorb(worst)
         for b in branch_metrics:

@@ -90,6 +90,29 @@ def _from_floats(lst: list) -> "Polynomial":
     return p
 
 
+def _from_rows(M: np.ndarray) -> list["Polynomial"]:
+    """``[_from_floats(row) for row in M.tolist()]`` for a float matrix,
+    with the finiteness check and the trim done on the whole matrix.
+
+    A matrix holding a non-finite value goes row by row, so the same
+    ``ValueError`` is raised.
+    """
+    if not np.isfinite(M).all():
+        return [_from_floats(row) for row in M.tolist()]
+    big = (M < -COEFF_EPS) | (M > COEFF_EPS)
+    # _trim's length: through the last coefficient outside COEFF_EPS; a
+    # row with none is the zero polynomial [0.0].
+    keep = np.where(big.any(axis=1),
+                    M.shape[1] - np.argmax(big[:, ::-1], axis=1), 0)
+    out = []
+    for row, k in zip(M.tolist(), keep.tolist()):
+        p = object.__new__(Polynomial)
+        p._cl = row[:k] if k else [0.0]
+        p._arr = p._hash = p._rc = None
+        out.append(p)
+    return out
+
+
 class Polynomial:
     """An immutable dense univariate polynomial with real coefficients.
 

@@ -7,7 +7,11 @@ import math
 import numpy as np
 
 from ..analysis import geometric_sizes, power_fit
-from ..core.envelope import envelope_serial
+from ..core.envelope import (
+    _forest_geometry,
+    envelope_serial,
+    normalize_inputs,
+)
 from ..core.family import PolynomialFamily
 from ..geometry.antipodal import antipodal_pairs, antipodal_pairs_brute, diameter_pair
 from ..geometry.convex_hull import convex_hull
@@ -104,14 +108,21 @@ def scheme_sort_scaling(name: str, sizes=None):
 # ----------------------------------------------------------------------
 # Figure 4
 # ----------------------------------------------------------------------
+def _most_pieces(trials: list, family: PolynomialFamily) -> int:
+    """The most pieces among the lower envelopes of the ``trials`` (curve
+    lists), built as one forest of independent instances."""
+    trees = [(normalize_inputs(fns), "min") for fns in trials]
+    return max((len(env) for env, _ in _forest_geometry(trees, family)),
+               default=0)
+
+
 def max_observed_pieces(n: int, degree: int, trials: int = 12) -> int:
-    fam = PolynomialFamily(degree)
-    worst = 0
+    curves = []
     for trial in range(trials):
         rng = np.random.default_rng(1000 * degree + trial)
-        fns = [Polynomial(rng.uniform(-10, 10, degree + 1)) for _ in range(n)]
-        worst = max(worst, len(envelope_serial(fns, fam)))
-    return worst
+        curves.append([Polynomial(rng.uniform(-10, 10, degree + 1))
+                       for _ in range(n)])
+    return _most_pieces(curves, PolynomialFamily(degree))
 
 
 def tangent_lines(n: int) -> list[Polynomial]:
@@ -173,10 +184,9 @@ def figure5_rows() -> list[list]:
     out = []
     for n in (8, 16, 32):
         for k in (1, 2, 3):
-            worst = 0
-            for trial in range(8):
-                fns = partial_family(n, k, seed=100 * n + 10 * k + trial)
-                worst = max(worst, len(envelope_serial(fns, fam)))
+            worst = _most_pieces(
+                [partial_family(n, k, seed=100 * n + 10 * k + trial)
+                 for trial in range(8)], fam)
             bound = lambda_bound(n, 1 + 2 * k)
             out.append([n, k, worst, bound,
                         "ok" if worst <= bound else "VIOLATION"])

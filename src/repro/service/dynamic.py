@@ -40,9 +40,9 @@ class DynamicFamily:
         self.name = name
         self.engine = engine
         self.op = engine.op
-        #: Run keys currently cached for this family — the exact set a
-        #: mutation must invalidate.
-        self.cached_keys: set[tuple] = set()
+        #: Run keys currently cached for this family, in the order they
+        #: were cached — the exact keys a mutation must invalidate.
+        self.cached_keys: dict[tuple, None] = {}
 
     def info(self) -> dict:
         """Deterministic coordinates of the family's current state."""
@@ -179,12 +179,12 @@ class DynamicFamilyStore:
 
     def note_cached(self, name: str, key: tuple) -> None:
         """Record that ``key`` now caches this family's entry."""
-        self.family(name).cached_keys.add(key)
+        self.family(name).cached_keys[key] = None
 
-    def take_cached(self, name: str) -> set[tuple]:
+    def take_cached(self, name: str) -> dict[tuple, None]:
         """Claim (and forget) the family's cached keys for invalidation."""
         fam = self.family(name)
-        keys, fam.cached_keys = fam.cached_keys, set()
+        keys, fam.cached_keys = fam.cached_keys, {}
         return keys
 
     # ------------------------------------------------------------------

@@ -300,11 +300,11 @@ class QueryService:
             raise ServiceError("bad_mutation", "; ".join(problems),
                                {"mutation": m.to_dict(), "cid": cid})
         t0 = perf_counter()
-        keys: set = set()
+        keys: dict = {}
         if m.action == "drop" and m.name in self.dynamic:
             # The drop discards the family object (and its key
             # registration) — capture the keys first.
-            keys = set(self.dynamic.family(m.name).cached_keys)
+            keys = dict(self.dynamic.family(m.name).cached_keys)
         try:
             result = self.dynamic.apply(m.name, m.action, dict(m.params))
         except ServiceError as exc:
@@ -312,7 +312,7 @@ class QueryService:
                           action=m.action)
             raise
         if m.name in self.dynamic:
-            keys |= self.dynamic.take_cached(m.name)
+            keys.update(self.dynamic.take_cached(m.name))
         invalidated = sum(
             1 for key in keys if self.cache.invalidate(key)
         )

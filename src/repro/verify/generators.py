@@ -75,8 +75,13 @@ def _quant(rng: np.random.Generator, size, lo=-10.0, hi=10.0) -> np.ndarray:
 # Curve families (envelope-level instances)
 # ======================================================================
 def _curves_random(rng: np.random.Generator, n: int, s: int) -> list[Polynomial]:
-    """Generic position: quantised random degree-<=s polynomials."""
-    return [Polynomial(_quant(rng, s + 1)) for _ in range(n)]
+    """Generic position: quantised random degree-<=s polynomials.
+
+    One ``(n, s + 1)`` draw: the generator fills it in the order of ``n``
+    draws of ``s + 1`` values, so the curves are those of a per-curve
+    loop.
+    """
+    return [Polynomial(row) for row in _quant(rng, (n, s + 1)).tolist()]
 
 
 def _curves_tangent(rng: np.random.Generator, n: int, s: int) -> list[Polynomial]:

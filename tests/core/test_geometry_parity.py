@@ -17,11 +17,14 @@ Test names keep the ``serial_sweep`` wording of the plane sweep that was
 the reference before the array path, so their ids stay stable.
 """
 
+import json
+import sys
 from functools import cache
 
 import numpy as np
 import pytest
 
+from repro.core.containment import containment_intervals
 from repro.core.envelope import (
     _combine_pairwise_array,
     _envelope_array,
@@ -29,17 +32,32 @@ from repro.core.envelope import (
     combine_pairwise,
     combine_pairwise_serial,
     envelope,
+    envelope_serial,
     normalize_inputs,
     set_fast_combine,
 )
 from repro.core import _envelope_kernel as envelope_kernel
 from repro.core import family as family_module
 from repro.core.family import CurveFamily, PolynomialFamily
-from repro.core.hull_membership import AngleFamily, angle_restrictions
+from repro.core.hull_membership import (
+    AngleCurve,
+    AngleFamily,
+    all_hull_membership_intervals,
+    angle_restrictions,
+    hull_membership_intervals,
+)
 from repro.kinetics.piecewise import INF, Piece, PiecewiseFunction
 from repro.kinetics import polynomial as polynomial_module
 from repro.kinetics.polynomial import Polynomial
-from repro.machines.machine import mesh_machine, serial_machine
+from repro.machines.machine import (
+    MachineGroup,
+    hypercube_machine,
+    mesh_machine,
+    serial_machine,
+)
+from repro.trace.golden import structural_spans
+from repro.trace.tracer import Tracer
+from repro.verify.compare import sim_snapshot
 from repro.verify.generators import (
     CURVE_KINDS,
     SYSTEM_KINDS,
@@ -48,6 +66,11 @@ from repro.verify.generators import (
 )
 
 SIZES = (1, 2, 3, 5, 8, 33, 64, 257)
+
+# repro.core re-exports the `envelope` function under the module's name.
+envelope_module = sys.modules["repro.core.envelope"]
+hull_membership_module = sys.modules["repro.core.hull_membership"]
+containment_module = sys.modules["repro.core.containment"]
 
 
 @pytest.fixture(params=["columnar", "mixed"])
@@ -270,3 +293,222 @@ def test_tolerance_equal_curves_share_one_family(array_first):
             got = envelope(mesh_machine(64), curves, family, op=op)
             want = _array(curves, family, op)
         assert _poly_key(got) == _poly_key(want), op
+
+
+# ----------------------------------------------------------------------
+# Forests: independent trees sharing one columnar pass per level
+# ----------------------------------------------------------------------
+def _forest_trees():
+    """Trees of mixed sizes, generator kinds, partiality and ops, with a
+    one-function tree and an empty one among them."""
+    ops = ("min", "max", "sum", "min", "diff", "max")
+    trees = []
+    for i, (kind, n) in enumerate(zip(sorted(CURVE_KINDS),
+                                      (1, 5, 33, 8, 64, 2))):
+        curves = make_curves(kind, 40 + i, n, 1 + i % 2)
+        trees.append((normalize_inputs(_partial(curves, i) if i % 2
+                                       else curves), ops[i]))
+    trees.insert(2, ([], "min"))
+    trees.append((normalize_inputs(make_curves("random", 9, 257, 2)), "max"))
+    return trees
+
+
+@pytest.mark.usefixtures("tree_levels")
+def test_forest_trees_match_per_tree_runs_and_the_array_path():
+    trees = _forest_trees()
+    got = envelope_module._forest_geometry(trees, PolynomialFamily(2))
+    assert len(got) == len(trees)
+    for (level, op), (env, tree) in zip(trees, got):
+        want_env, want_tree = envelope_module._forest_geometry(
+            [(level, op)], PolynomialFamily(2))[0]
+        assert _poly_key(env) == _poly_key(want_env), (len(level), op)
+        assert tree == want_tree, (len(level), op)
+        if level:
+            want = _array(level, PolynomialFamily(2), op)
+            assert _poly_key(env) == _poly_key(want), (len(level), op)
+        else:
+            assert not env.pieces and tree == []
+
+
+def test_forest_levels_are_tested_against_the_whole_forest():
+    # Eight 12-curve trees: no tree alone reaches MIN_RECORDS, the forest
+    # does, so its first levels run as columnar passes.
+    trees = [(normalize_inputs(make_curves("random", seed, 12, 2)), "min")
+             for seed in range(8)]
+    assert 2 * 12 < envelope_kernel.MIN_RECORDS <= 2 * 12 * 8
+    levels = envelope_kernel._LEVELS.value
+    walked = envelope_module._WALKED.value
+    got = envelope_module._forest_geometry(trees, PolynomialFamily(2))
+    assert envelope_kernel._LEVELS.value > levels
+    forest_walked = envelope_module._WALKED.value - walked
+    for (level, op), (env, tree) in zip(trees, got):
+        want_env, want_tree = envelope_module._forest_geometry(
+            [(level, op)], PolynomialFamily(2))[0]
+        assert _poly_key(env) == _poly_key(want_env)
+        assert tree == want_tree
+    # Run alone, every tree walks all 11 of its combines.
+    alone_walked = envelope_module._WALKED.value - walked - forest_walked
+    assert alone_walked == 8 * 11 > forest_walked
+
+
+# ----------------------------------------------------------------------
+# The batched angle hook and the vectorised ``same``
+# ----------------------------------------------------------------------
+def _angle(dx, dy, j):
+    return AngleCurve(Polynomial(dx), Polynomial(dy), j)
+
+
+def _edge_curves():
+    """Angle curve pairs (f, g) at the hook's edges: a double root of the
+    cross polynomial, a root where the dot product vanishes, pairs
+    parallel for all time (both orientations), and pairs of generated
+    systems."""
+    pairs = [
+        # cross = (t - 2)^2: a double root, dot > 0 there.
+        (_angle([1.0], [-2.0, 1.0], 0), _angle([1.0], [2.0, -3.0, 1.0], 1)),
+        # cross = (t - 3)^2 and dot = 0 at t = 3: the vectors vanish.
+        (_angle([-3.0, 1.0], [-6.0, 2.0], 2),
+         _angle([1.0], [-1.0, 1.0], 3)),
+        # Parallel for all time: same and opposite orientation.
+        (_angle([1.0, 1.0], [2.0, 0.5], 4), _angle([2.0, 2.0], [4.0, 1.0], 5)),
+        (_angle([1.0, 1.0], [2.0, 0.5], 6),
+         _angle([-1.0, -1.0], [-2.0, -0.5], 7)),
+        # Two simple crossings 1e-8 apart.
+        (_angle([1.0], [0.0, 1.0], 8),
+         _angle([1.0], [5.0 * (5.0 + 1e-8), -(9.0 + 1e-8), 1.0], 9)),
+    ]
+    for kind in sorted(SYSTEM_KINDS):
+        system = make_system(kind, 3, 8, 2)
+        gs, bs = angle_restrictions(system, 0)
+        curves = [F.pieces[0].fn for F in gs + bs if F.pieces]
+        pairs += list(zip(curves[0::2], curves[1::2]))
+    return pairs
+
+
+def _angle_gaps(f, g, rng):
+    """Gaps ending on, or within the filters' tolerances of, the roots of
+    the pair's cross polynomial, plus random and unbounded ones."""
+    cross = f.dx * g.dy - g.dx * f.dy
+    roots = [] if cross.is_zero() else cross.real_roots(0.0, 50.0)
+    ends = [0.0, float(rng.uniform(0.0, 10.0))]
+    for r in roots:
+        for d in (0.0, 1e-10, 5e-9, 1e-8, 2e-8, 1e-6):
+            ends += [r - d, r + d]
+    ends = sorted(e for e in ends if e >= 0.0)
+    gaps = []
+    for i, a in enumerate(ends):
+        gaps.append((a, np.inf))
+        for b in ends[i + 1:i + 4]:
+            if b - a > 1e-9 * max(1.0, a):
+                gaps.append((a, b))
+    return gaps
+
+
+@pytest.mark.parametrize("cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("op", ["min", "max"])
+def test_batched_angle_gaps_match_per_gap_split(op, cache):
+    # AngleFamily.resolve_gaps against the base hook (prefetch, then
+    # split_gap per gap): same subpieces, same crossing-cache counters.
+    rng = np.random.default_rng(11)
+    fns, lo, hi, f, g = [], [], [], [], []
+    for x, y in _edge_curves():
+        fns += [x, y]
+        for a, b in _angle_gaps(x, y, rng):
+            lo.append(a)
+            hi.append(b)
+            f.append(len(fns) - 2)
+            g.append(len(fns) - 1)
+    cols = (np.array(lo), np.array(hi), np.array(f), np.array(g))
+    fast, slow = AngleFamily(2), AngleFamily(2)
+    fast.cache_enabled = slow.cache_enabled = cache
+    got = fast.resolve_gaps(*cols, fns, op)
+    want = CurveFamily.resolve_gaps(slow, *cols, fns, op)
+    assert [c.tolist() for c in got] == [c.tolist() for c in want]
+    assert fast.cache_stats() == slow.cache_stats()
+
+
+def test_vectorised_same_matches_polynomial_equality():
+    # PolynomialFamily.same_columns against PolynomialFamily.same, on
+    # coefficients on both sides of |a - b| <= COEFF_EPS + 1e-9 |b| and
+    # trimmed lengths that differ by a leading term near COEFF_EPS.
+    eps = polynomial_module.COEFF_EPS
+    fns = []
+    for b in (0.0, 1.0, -3.5, 1e3, 1e-6):
+        thr = eps + 1e-9 * abs(b)
+        for t in (0.0, thr * (1 - 1e-6), thr, thr * (1 + 1e-6), 2 * thr):
+            for a in (b + t, b - t, np.nextafter(b + t, np.inf),
+                      np.nextafter(b - t, -np.inf)):
+                fns.append(Polynomial([1.0, float(a), 2.0]))
+                fns.append(Polynomial([float(a), 1.0]))
+                fns.append(Polynomial([1.0, 2.0, float(a)]))
+    fns += [Polynomial([0.0]), Polynomial([eps]), Polynomial([2 * eps])]
+    family = PolynomialFamily(2)
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(len(fns)),
+                                            np.arange(len(fns))))
+    got = family.same_columns(fns)(a, b)
+    want = [family.same(fns[x], fns[y]) for x, y in zip(a, b)]
+    assert got.tolist() == want
+    assert any(want) and not all(want)
+
+
+# ----------------------------------------------------------------------
+# Forest callers charge exactly as one envelope run per envelope
+# ----------------------------------------------------------------------
+# The reference builds and charges each envelope through its own
+# ``envelope`` call, where it is charged.
+def _unbuilt(machine, trees, family):
+    return [None] * len(trees)
+
+
+def _one_envelope(machine, level, family, op, built):
+    """The tree's own ``envelope`` call, geometry and charges together."""
+    if machine is None:
+        return envelope_serial(level, family, op=op)
+    return envelope(machine, level, family, op=op)
+
+
+def _forest_callers():
+    system = make_system("random", 5, 9, 1)
+    box = [3.0, 4.0]
+    return {
+        "hull_membership": lambda m: hull_membership_intervals(m, system, 2),
+        "all_hull_membership": lambda m: all_hull_membership_intervals(
+            m, system),
+        "containment": lambda m: containment_intervals(m, system, box),
+    }
+
+
+def _snapshots(run, per_envelope, group, monkeypatch):
+    with monkeypatch.context() as m:
+        if per_envelope:
+            for module in (hull_membership_module, containment_module):
+                m.setattr(module, "_build_envelopes", _unbuilt)
+                m.setattr(module, "_charge_envelope", _one_envelope)
+        machines = [mesh_machine(256), hypercube_machine(256)]
+        targets = list(machines)
+        if group:
+            members = [mesh_machine(256), hypercube_machine(256)]
+            machines += members
+            targets.append(MachineGroup(members))
+        out, forest = [], []
+        for target in targets:
+            with Tracer("t") as tracer:
+                out.append(run(target))
+            forest.append(structural_spans(tracer.to_dicts()))
+        snaps = [json.dumps(sim_snapshot(m.metrics)) for m in machines]
+        return out, snaps, forest
+
+
+@pytest.mark.usefixtures("tree_levels")
+@pytest.mark.parametrize("caller", sorted(_forest_callers()))
+def test_forest_callers_charge_as_per_envelope_runs(caller, monkeypatch):
+    # A MachineGroup runs each member's charges (all_hull_membership
+    # builds machines of one topology, so it refuses a group).
+    run = _forest_callers()[caller]
+    group = caller != "all_hull_membership"
+    got = _snapshots(run, False, group, monkeypatch)
+    want = _snapshots(run, True, group, monkeypatch)
+    assert got[0] == want[0]        # the answers
+    assert got[1] == want[1]        # sim_snapshot, phase key order included
+    assert got[2] == want[2]        # the traced span forest, in order
+    assert "envelope" in json.dumps(got[2])

@@ -120,3 +120,20 @@ class TestCLI:
         assert one["filtered"] > 0 and one["fallbacks"] == 0
         two = counts(["-v", "-j", "2", "table3", "table3"])
         assert two == {k: 2 * v for k, v in one.items()}
+
+    def test_verbose_sums_the_envelope_kernel_counters_over_jobs(self, capsys):
+        # Envelope trees count their columnar forest levels and the
+        # combines walked one by one below MIN_RECORDS; --jobs sums what
+        # each worker counted.
+        def counts(argv):
+            assert cli_main(argv) == 0
+            out = capsys.readouterr().out
+            (line,) = [ln for ln in out.splitlines()
+                       if ln.strip().startswith("envelope ")]
+            return {k: int(v) for k, v in re.findall(
+                r"(levels_columnar|combines_walked)=(\d+)", line)}
+
+        one = counts(["-v", "figures"])
+        assert one["levels_columnar"] > 0 and one["combines_walked"] > 0
+        two = counts(["-v", "-j", "2", "figures", "figures"])
+        assert two == {k: 2 * v for k, v in one.items()}

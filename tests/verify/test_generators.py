@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from repro.kinetics.motion import PointSystem
+from repro.kinetics.polynomial import Polynomial
+from repro.verify import generators
 from repro.verify.generators import (
     CURVE_KINDS,
     SYSTEM_KINDS,
@@ -31,6 +33,28 @@ class TestDeterminism:
         b = make_curves(kind, seed=5, n=7, s=2)
         assert _coeffs(a) == _coeffs(b)
         assert len(a) == 7
+
+    @pytest.mark.parametrize("kind", ["random", "duplicate", "near_degenerate"])
+    def test_one_matrix_draw_equals_the_per_curve_loop(self, kind,
+                                                       monkeypatch):
+        # _curves_random draws all coefficients in one (n, s + 1) call;
+        # the curves (and the generator state after them) must be those
+        # of one draw of s + 1 values per curve.
+        def per_curve(rng, n, s):
+            return [Polynomial(generators._quant(rng, s + 1))
+                    for _ in range(n)]
+
+        for seed in range(40):
+            for n, s in ((1, 0), (5, 2), (33, 2), (512, 2), (7, 3)):
+                r1, r2 = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = generators.CURVE_KINDS[kind](r1, n, s)
+                with monkeypatch.context() as m:
+                    m.setattr(generators, "_curves_random", per_curve)
+                    want = (per_curve if kind == "random" else
+                            generators.CURVE_KINDS[kind])(r2, n, s)
+                assert _coeffs(got) == _coeffs(want), (kind, seed, n, s)
+                assert list(map(repr, got)) == list(map(repr, want))
+                assert r1.random() == r2.random()
 
     @pytest.mark.parametrize("kind", sorted(SYSTEM_KINDS))
     def test_systems_are_pure_functions_of_seed(self, kind):
