@@ -8,10 +8,10 @@ steady-state problems to static ones (Lemma 5.1).
 A coordinate type may also supply its own orientation test, as a static
 ``orientation_kernel(o, a, b)`` on the type: :func:`orientation` runs it
 for points whose first coordinate has that type.  ``SteadyValue`` does,
-with a float kernel that decides without building the product
-polynomials whenever it can prove the answer equals
-:func:`orientation_by_products` on them.  This module stays generic: it
-never imports the steady-state code.
+with a kernel that runs the polynomial path's float operations on the
+coefficient lists without building the polynomials, so it answers as
+:func:`orientation_by_products` does on them.  This module stays
+generic: it never imports the steady-state code.
 
 Points are index-able sequences of scalars (tuples, lists, arrays).
 """

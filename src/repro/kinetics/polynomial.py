@@ -67,12 +67,54 @@ def _sub_lists(a: list, b: list) -> list:
     return out
 
 
-def _init(p: "Polynomial", lst: list) -> None:
-    """Validate, trim and install ``lst``, a fresh non-empty float list."""
+def _mul_lists(a: list, b: list) -> list:
+    """The untrimmed coefficient list of ``a * b`` (ascending lists).
+
+    The one product order: coefficient ``k`` is
+    ``a[lo]*b[k-lo] + a[lo+1]*b[k-lo-1] + ...``, ascending index of
+    ``a``, added left to right in Python floats (which never fuse a
+    multiply-add).  :meth:`Polynomial.__mul__` and the steady-state
+    kernel both run it, so both compute bit-identical products.
+    """
+    x = a[0]
+    out = [x * y for y in b]
+    last = len(b) - 1
+    for i in range(1, len(a)):
+        x = a[i]
+        for j in range(last):
+            out[i + j] += x * b[j]
+        out.append(x * b[last])
+    return out
+
+
+def _checked(lst: list) -> list:
+    """``lst`` trimmed, after checking that every coefficient is finite."""
     for x in lst:
         if not math.isfinite(x):
             raise ValueError("coefficients must be finite")
-    p._cl = _trim(lst)
+    return _trim(lst)
+
+
+def _compare_lists(a: list, b: list) -> int:
+    """:meth:`Polynomial.steady_compare` on two trimmed coefficient lists."""
+    la, lb = len(a), len(b)
+    for i in range(max(la, lb) - 1, -1, -1):
+        if i >= la:
+            d = 0.0 - b[i]
+        elif i >= lb:
+            d = a[i]
+        else:
+            d = a[i] - b[i]
+        if d > COEFF_EPS:
+            return 1
+        if d < -COEFF_EPS:
+            return -1
+    return 0
+
+
+def _init(p: "Polynomial", lst: list) -> None:
+    """Validate, trim and install ``lst``, a fresh non-empty float list."""
+    p._cl = _checked(lst)
     p._arr = None
     p._hash = None
     p._rc = None
@@ -252,11 +294,7 @@ class Polynomial:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        # NumPy's convolution, not a Python double loop: its dot kernel
-        # fixes the summation order (and any fused multiply-add) that the
-        # committed results were produced with.
-        other = _coerce(other)
-        return _from_floats(np.convolve(self.coeffs, other.coeffs).tolist())
+        return _from_floats(_mul_lists(self._cl, _coerce(other)._cl))
 
     __rmul__ = __mul__
 
@@ -342,20 +380,7 @@ class Polynomial:
         the leading coefficient :meth:`__sub__` would keep after trimming,
         without building the difference.
         """
-        a, b = self._cl, _coerce(other)._cl
-        la, lb = len(a), len(b)
-        for i in range(max(la, lb) - 1, -1, -1):
-            if i >= la:
-                d = 0.0 - b[i]
-            elif i >= lb:
-                d = a[i]
-            else:
-                d = a[i] - b[i]
-            if d > COEFF_EPS:
-                return 1
-            if d < -COEFF_EPS:
-                return -1
-        return 0
+        return _compare_lists(self._cl, _coerce(other)._cl)
 
     def horizon(self) -> float:
         """A time ``H >= 1`` beyond which ``self`` has no real roots.

@@ -326,3 +326,37 @@ class TestPlainFloatKernel:
         big = Polynomial([1e308])
         with pytest.raises(ValueError):
             big + big
+
+
+def _product_reference(a: list, b: list) -> list:
+    """Coefficient ``k`` of ``a * b``: ``a[lo]*b[k-lo] + a[lo+1]*b[k-lo-1]
+    + ...``, ascending index of ``a``, added left to right."""
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        s = a[lo] * b[k - lo]
+        for i in range(lo + 1, hi + 1):
+            s = s + a[i] * b[k - i]
+        out.append(s)
+    return out
+
+
+class TestProductOrder:
+    """``__mul__`` sums every coefficient in one fixed order, whatever the
+    host's BLAS build would do."""
+
+    def test_degree_two_product_is_the_plain_sum(self):
+        # np.convolve can return -0.08120764435624973 here: its dot kernel
+        # fuses and reorders the two terms of the degree-1 coefficient.
+        p = Polynomial([0.1257302210933933, -0.1321048632913019,
+                        0.6404226504432821])
+        q = Polynomial([0.10490011715303971, -0.535669373161111,
+                        0.36159505490948474])
+        assert (p * q)._cl[1] == -0.08120764435624975
+
+    @given(small_poly, small_poly)
+    @settings(max_examples=300)
+    @example(Polynomial([1.0, -0.0]), Polynomial([-0.0, 2.0]))
+    def test_mul_is_the_ascending_left_to_right_sum(self, p, q):
+        want = Polynomial(_product_reference(p._cl, q._cl))
+        assert _bits(p * q) == _bits(want)

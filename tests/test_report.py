@@ -105,22 +105,6 @@ class TestCLI:
         assert int(re.search(r"misses=(\d+)", line).group(1)) > 0
         assert re.search(r"^wall-clock by phase: .*cross=", out, re.M)
 
-    def test_verbose_sums_the_steady_kernel_counters_over_jobs(self, capsys):
-        # The Lemma 5.1 kernel counts its float decisions and polynomial
-        # fallbacks in the registry; --jobs sums what each worker counted.
-        def counts(argv):
-            assert cli_main(argv) == 0
-            out = capsys.readouterr().out
-            (line,) = [ln for ln in out.splitlines()
-                       if ln.strip().startswith("steady ")]
-            return {k: int(v) for k, v in
-                    re.findall(r"(filtered|fallbacks)=(\d+)", line)}
-
-        one = counts(["-v", "table3"])
-        assert one["filtered"] > 0 and one["fallbacks"] == 0
-        two = counts(["-v", "-j", "2", "table3", "table3"])
-        assert two == {k: 2 * v for k, v in one.items()}
-
     def test_verbose_sums_the_envelope_kernel_counters_over_jobs(self, capsys):
         # Envelope trees count their columnar forest levels and the
         # combines walked one by one below MIN_RECORDS; --jobs sums what
