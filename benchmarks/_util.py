@@ -1,90 +1,31 @@
-"""Shared reporting helpers for the benchmark harness.
+"""The one report render of the benchmark harness.
 
-Each bench regenerates one of the paper's tables/figures as an ASCII table:
-printed to stdout and appended to ``benchmarks/results/<bench>.txt`` so the
-numbers survive pytest's output capturing and can be pasted into
-EXPERIMENTS.md.
+Every table's title, headers and rows are written in one place,
+:mod:`repro.report`.  A bench's report test asserts the shape of those
+rows; :func:`rendered` produces them once per pytest session and first
+checks the rendered text byte for byte against
+``benchmarks/perf/golden/<name>.txt``, the text the repository benchmark
+gates on.  Nothing here writes a file.
 """
 
 from __future__ import annotations
 
-import os
+import functools
 import pathlib
-import sys
 
-from repro.analysis import render_table
-from repro.core.family import global_cache_stats
-from repro.machines.metrics import global_wall_phases
-from repro.ops.plans import plan_cache_stats
-from repro.parallel import parallel_map
+from repro.report import EXPERIMENTS, run
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "perf" / "golden"
 
 
-def verbose() -> bool:
-    """True when the run asked for verbose output (pytest/CLI ``-v``)."""
-    return any(a in ("-v", "-vv", "--verbose") for a in sys.argv)
-
-
-def bench_jobs() -> int:
-    """Worker processes for row sweeps: the ``REPRO_JOBS`` env var.
-
-    Defaults to serial (1).  ``REPRO_JOBS=0`` means one worker per host
-    core.  Parallel sweeps produce byte-identical tables — rows are merged
-    in submission order (``repro.parallel``) and record only simulated
-    time — so this is purely a wall-clock lever for big sweeps.
-    """
-    return int(os.environ.get("REPRO_JOBS", "1"))
-
-
-def parallel_rows(fn, items):
-    """Map a module-level row builder over ``items``, honouring REPRO_JOBS.
-
-    Row order follows item order regardless of jobs, so results files stay
-    byte-identical.  Note: with jobs > 1 the per-process cache/wall-clock
-    diagnostics of the workers are not folded back into this process —
-    simulated-time rows are unaffected.
-    """
-    return parallel_map(fn, items, jobs=bench_jobs())
-
-
-def report(bench_name: str, title: str, headers, rows) -> None:
-    """Print a table and append it to the bench's results file.
-
-    Under ``--verbose`` a host-side diagnostics block (crossing-cache hit
-    rate, per-phase wall-clock) follows each table on stdout.  Diagnostics
-    never enter the results files: those record only simulated time and
-    must stay bit-identical across host-side optimisations.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
+@functools.lru_cache(maxsize=len(EXPERIMENTS))
+def rendered(name: str) -> list[tuple]:
+    """``repro.report.run(name)``'s ``(title, headers, rows)`` tables,
+    after asserting that their text equals the golden file."""
     lines: list[str] = []
-    render_table(title, headers, rows, out=lines.append)
-    text = "\n".join(lines)
-    print(text)
-    with open(RESULTS_DIR / f"{bench_name}.txt", "a") as fh:
-        fh.write(text + "\n")
-    if verbose():
-        diagnostics(bench_name)
+    tables = run(name, out=lines.append)
+    golden = (GOLDEN_DIR / f"{name}.txt").read_text()
+    assert "\n".join(lines) + "\n" == golden, \
+        f"{name}: rendered text differs from {GOLDEN_DIR.name}/{name}.txt"
+    return tables
 
-
-def diagnostics(label: str = "") -> None:
-    """Print process-wide host-side counters: cache hit rates, wall phases."""
-    stats = global_cache_stats()
-    prefix = f"[{label}] " if label else ""
-    print(f"{prefix}crossing cache: {stats['hits']} hits / "
-          f"{stats['misses']} misses (hit rate {stats['hit_rate']:.1%})")
-    plans = plan_cache_stats()
-    print(f"{prefix}movement plans: {plans['hits']} hits / "
-          f"{plans['misses']} misses (hit rate {plans['hit_rate']:.1%}, "
-          f"compile {plans['compile_seconds']:.3f}s)")
-    phases = global_wall_phases()
-    if phases:
-        ranked = sorted(phases.items(), key=lambda kv: -kv[1])
-        parts = ", ".join(f"{k}={v:.3f}s" for k, v in ranked)
-        print(f"{prefix}wall-clock by phase: {parts}")
-
-
-def fresh(bench_name: str) -> None:
-    """Truncate the bench's results file at the start of a module run."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{bench_name}.txt").write_text("")

@@ -10,27 +10,12 @@
 Generation in :mod:`repro.report.ablations`.
 """
 
-import pytest
-
-from repro.report import ablations
-
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("ablations")
+from _util import rendered
 
 
 def test_indexing_ablation(benchmark):
-    rows = benchmark.pedantic(ablations.sort_cost_by_scheme,
-                              rounds=1, iterations=1)
-    report(
-        "ablations",
-        "Ablation: mesh bitonic sort cost by indexing scheme",
-        ["scheme", "time (n=4096)", "fit"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("ablations",),
+                              rounds=1, iterations=1)[0][2]
     by = {r[0]: float(r[1]) for r in rows}
     assert by["shuffled-row-major"] == min(by.values())
     fits = {r[0]: float(r[2].split("^")[1].split(" ")[0]) for r in rows}
@@ -38,14 +23,8 @@ def test_indexing_ablation(benchmark):
 
 
 def test_recursion_ablation(benchmark):
-    rows = benchmark.pedantic(ablations.recursion_rows,
-                              rounds=1, iterations=1)
-    report(
-        "ablations",
-        "Ablation: recursive halving vs sequential insertion (mesh)",
-        ["n", "recursive (Thm 3.2)", "insertion", "penalty"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("ablations",),
+                              rounds=1, iterations=1)[1][2]
     penalties = [float(r[3][:-1]) for r in rows if r[0] != "fit"]
     assert all(p > 1.0 for p in penalties)
     assert penalties[-1] > 2 * penalties[0], "the gap must widen"

@@ -9,26 +9,12 @@ mesh remains the sqrt-class outlier.  Generation in
 :mod:`repro.report.architectures`.
 """
 
-import pytest
-
-from repro.report import architectures
-
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("architectures")
+from _util import rendered
 
 
 def test_architectures_report(benchmark):
-    rows = benchmark.pedantic(architectures.rows, rounds=1, iterations=1)
-    report(
-        "architectures",
-        f"Envelope construction across networks (n = {architectures.SIZES})",
-        ["network", f"time (n={architectures.SIZES[-1]})", "fit", "slowdown"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("architectures",),
+                              rounds=1, iterations=1)[0][2]
     by = {r[0]: r for r in rows}
     # The log-class machines agree in shape...
     for name in ("hypercube", "cube-connected cycles", "shuffle-exchange"):

@@ -6,38 +6,19 @@ cost model rests on.  Generation in :mod:`repro.report.figures`.
 """
 
 import numpy as np
-import pytest
 
 from repro.machines.indexing import gray_code
-from repro.report import figures
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("fig1_fig3")
+from _util import rendered
 
 
 def test_fig1_fig3_report(benchmark):
-    rows = benchmark.pedantic(figures.topology_rows, rounds=1, iterations=1)
-    report(
-        "fig1_fig3",
-        "Figures 1 & 3: machine structure",
-        ["n", "mesh diameter", "2(sqrt n - 1)", "mesh links",
-         "cube diameter", "log2 n", "cube links"],
-        rows,
-    )
-    for row in rows:
+    tables = benchmark.pedantic(rendered, args=("figures",),
+                                rounds=1, iterations=1)
+    for row in tables[0][2]:             # Figures 1 & 3
         assert row[1] == row[2]          # mesh diameter formula
         assert int(row[4]) == row[5]     # hypercube diameter formula
-    profile = figures.exchange_profile_rows()
-    report(
-        "fig1_fig3",
-        "Per-rank-bit exchange distances (n = 1024)",
-        ["rank bit", "mesh hops (2^(b//2))", "hypercube hops"],
-        profile,
-    )
+    profile = tables[1][2]               # exchange distances by rank bit
     assert [r[1] for r in profile] == \
         ["1", "1", "2", "2", "4", "4", "8", "8", "16", "16"]
     assert all(r[2] == "1" for r in profile)

@@ -8,28 +8,15 @@ and recursive decomposability.  Generation in :mod:`repro.report.figures`.
 
 import pytest
 
-from repro.analysis import power_fit
 from repro.machines.indexing import SCHEMES
-from repro.report import figures
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("fig2")
+from _util import rendered
 
 
 def test_fig2_report(benchmark):
-    rows = benchmark.pedantic(figures.locality_rows, rounds=1, iterations=1)
-    report(
-        "fig2",
-        "Figure 2: indexing schemes of a 32x32 mesh",
-        ["scheme", "adjacent fraction", "max consecutive dist",
-         "recursively decomposable", "bitonic network hops"],
-        rows,
-    )
-    by = {r[0]: r for r in rows}
+    tables = benchmark.pedantic(rendered, args=("figures",),
+                                rounds=1, iterations=1)
+    by = {r[0]: r for r in tables[2][2]}      # Figure 2
     # The two properties the paper states for proximity order.
     assert by["proximity"][1] == "1.000" and by["proximity"][3] == "yes"
     # Snake is adjacent but not decomposable; row-major is neither.
@@ -41,18 +28,8 @@ def test_fig2_report(benchmark):
     assert by["shuffled-row-major"][4] < by["snake-like"][4]
     assert by["shuffled-row-major"][4] < by["proximity"][4]
 
-    scaling_rows = []
-    for name in SCHEMES:
-        sizes, costs = figures.scheme_sort_scaling(name)
-        scaling_rows.append([name, costs[-1],
-                             power_fit(sizes, costs).describe()])
-    report(
-        "fig2",
-        "Bitonic-network hop scaling by scheme",
-        ["scheme", "hops (n=4096)", "fit"],
-        scaling_rows,
-    )
-    fits = {r[0]: float(r[2].split("^")[1].split(" ")[0]) for r in scaling_rows}
+    fits = {r[0]: float(r[2].split("^")[1].split(" ")[0])
+            for r in tables[3][2]}              # bitonic hop scaling
     assert fits["shuffled-row-major"] < 0.7   # ~sqrt(n)
     assert fits["row-major"] > fits["shuffled-row-major"]
 

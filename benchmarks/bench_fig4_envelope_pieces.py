@@ -6,47 +6,19 @@ possible").  Generation in :mod:`repro.report.figures`.
 """
 
 import numpy as np
-import pytest
 
 from repro import Polynomial, PolynomialFamily, envelope_serial
-from repro.report import figures
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("fig4")
+from _util import rendered
 
 
 def test_fig4_report(benchmark):
-    rows = benchmark.pedantic(figures.figure4_rows, rounds=1, iterations=1)
-    report(
-        "fig4",
-        "Figure 4 / Lemma 2.2: envelope piece counts vs lambda(n, s)",
-        ["n", "s", "max observed pieces", "lambda(n, s)", "check"],
-        rows,
-    )
-    assert all(r[4] == "ok" for r in rows)
-
-    tight = figures.tightness_rows()
-    report(
-        "fig4",
-        "Worst case attained: tangent lines to a parabola (s = 1)",
-        ["n", "envelope pieces", "lambda(n,1)", "status"],
-        tight,
-    )
-    assert all(r[3] == "tight" for r in tight)
-
-    lam = figures.lambda_rows()
-    report(
-        "fig4",
-        "Theorem 2.3: lambda(n, s) and the inverse Ackermann function",
-        ["n", "lambda(n,1)=n", "lambda(n,2)=2n-1",
-         "lambda bound (s=3)", "alpha(n)"],
-        lam,
-    )
-    assert all(r[4] <= 4 for r in lam)  # alpha(n) <= 4 for any real n
+    tables = benchmark.pedantic(rendered, args=("figures",),
+                                rounds=1, iterations=1)
+    assert all(r[4] == "ok" for r in tables[4][2])        # Figure 4
+    assert all(r[3] == "tight" for r in tables[5][2])     # tangent lines
+    # Theorem 2.3: alpha(n) <= 4 for any real n
+    assert all(r[4] <= 4 for r in tables[6][2])
 
 
 def test_fig4_envelope_construction(benchmark):

@@ -6,27 +6,16 @@ Generation in :mod:`repro.report.figures`.
 """
 
 import numpy as np
-import pytest
 
 from repro import Polynomial, PolynomialFamily, envelope, mesh_machine
 from repro.report import figures
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("fig5")
+from _util import rendered
 
 
 def test_fig5_report(benchmark):
-    rows = benchmark.pedantic(figures.figure5_rows, rounds=1, iterations=1)
-    report(
-        "fig5",
-        "Figure 5 / Lemma 3.3: partial-function envelopes vs lambda(n, s+2k)",
-        ["n", "transitions k", "max observed pieces", "lambda bound", "check"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("figures",),
+                              rounds=1, iterations=1)[7][2]   # Figure 5
     assert all(r[4] == "ok" for r in rows)
     # More transitions -> more pieces (the phenomenon Figure 5 depicts).
     by_nk = {(r[0], r[1]): r[2] for r in rows}

@@ -5,29 +5,16 @@ the diameter is always antipodal (Shamos).  Generation in
 :mod:`repro.report.figures`.
 """
 
-import pytest
-
 from repro import power_fit
 from repro.geometry import antipodal_pairs
 from repro.report import figures
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("fig6")
+from _util import rendered
 
 
 def test_fig6_report(benchmark):
-    rows = benchmark.pedantic(figures.figure6_rows, rounds=1, iterations=1)
-    report(
-        "fig6",
-        "Figure 6 / Lemma 5.5: antipodal pairs by rotating calipers",
-        ["hull size m", "calipers pairs", "sector-brute pairs",
-         "sets equal", "diameter correct"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("figures",),
+                              rounds=1, iterations=1)[8][2]   # Figure 6
     assert all(r[3] == "yes" and r[4] == "yes" for r in rows)
     sizes = [r[0] for r in rows]
     counts = [r[1] for r in rows]

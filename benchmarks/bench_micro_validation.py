@@ -6,30 +6,16 @@ Thompson-Kung bitonic totals.  Hypercube: round counts must be exactly
 equal.  Generation in :mod:`repro.report.validation`.
 """
 
-import pytest
-
 from repro import power_fit
 from repro.machines.micro import shearsort
 from repro.report import validation
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("micro")
+from _util import rendered
 
 
 def test_mesh_validation_report(benchmark):
-    rows = benchmark.pedantic(validation.mesh_rows, rounds=1, iterations=1)
-    report(
-        "micro",
-        "Cross-level validation (mesh): micro machine vs abstract model",
-        ["n", "bcast micro", "bcast model", "ratio",
-         "semigroup micro", "semigroup model", "ratio",
-         "shearsort micro", "bitonic model", "ratio (log-factor gap)"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("validation",),
+                              rounds=1, iterations=1)[0][2]
     bc_ratios = [float(r[3]) for r in rows]
     sg_ratios = [float(r[6]) for r in rows]
     ss_ratios = [float(r[9]) for r in rows]
@@ -39,14 +25,8 @@ def test_mesh_validation_report(benchmark):
 
 
 def test_cube_validation_report(benchmark):
-    rows = benchmark.pedantic(validation.cube_rows, rounds=1, iterations=1)
-    report(
-        "micro",
-        "Cross-level validation (hypercube): exact round agreement",
-        ["n", "sort micro", "sort model", "sort",
-         "reduce micro", "reduce model", "reduce"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("validation",),
+                              rounds=1, iterations=1)[1][2]
     assert all(r[3] == "exact" and r[6] == "exact" for r in rows)
 
 

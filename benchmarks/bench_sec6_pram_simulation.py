@@ -5,22 +5,11 @@ both machines, with a widening gap.  Generation in
 :mod:`repro.report.section6`.
 """
 
-import pytest
-
 from repro import envelope, mesh_machine
 from repro.baselines.pram import pram_envelope, simulation_cost
 from repro.report import section6
-from repro.machines import hypercube_machine
 
-from _util import fresh, report
-
-HEADERS = ["n", "native time", "PRAM steps (c log n)", "CR+CW cost",
-           "simulation time", "simulation penalty"]
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("sec6")
+from _util import rendered
 
 
 def _check(rows):
@@ -30,19 +19,13 @@ def _check(rows):
 
 
 def test_sec6_mesh_report(benchmark):
-    rows = benchmark.pedantic(lambda: section6.rows(mesh_machine),
-                              rounds=1, iterations=1)
-    report("sec6", "Section 6: native mesh envelope vs PRAM simulation",
-           HEADERS, rows)
-    _check(rows)
+    _check(benchmark.pedantic(rendered, args=("section6",),
+                              rounds=1, iterations=1)[0][2])
 
 
 def test_sec6_hypercube_report(benchmark):
-    rows = benchmark.pedantic(lambda: section6.rows(hypercube_machine),
-                              rounds=1, iterations=1)
-    report("sec6", "Section 6: native hypercube envelope vs PRAM simulation",
-           HEADERS, rows)
-    _check(rows)
+    _check(benchmark.pedantic(rendered, args=("section6",),
+                              rounds=1, iterations=1)[1][2])
 
 
 def test_sec6_measured_pram_steps(benchmark):

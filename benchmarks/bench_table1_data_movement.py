@@ -4,8 +4,8 @@ Paper's claims (n-PE machines): semigroup / broadcast / prefix / merge are
 ``Theta(sqrt n)`` mesh and ``Theta(log n)`` hypercube; sorting and grouping
 are ``Theta(sqrt n)`` mesh and ``Theta(log^2 n)`` hypercube, expected
 ``Theta(log n)`` with randomized sorting.  Generation lives in
-:mod:`repro.report.table1`; this bench records the table and asserts the
-fitted growth classes.
+:mod:`repro.report.table1`; this bench asserts the fitted growth classes
+on its rows.
 """
 
 import numpy as np
@@ -14,28 +14,12 @@ import pytest
 from repro.machines import hypercube_machine, mesh_machine
 from repro.report import table1
 
-from _util import bench_jobs, fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("table1")
+from _util import rendered
 
 
 def test_table1_report(benchmark):
-    # REPRO_JOBS>1 fans the per-operation sweeps out over processes; rows
-    # are merged in operation order, so the table is byte-identical.
-    rows = benchmark.pedantic(
-        lambda: table1.rows(jobs=bench_jobs()), rounds=1, iterations=1
-    )
-    report(
-        "table1",
-        f"Table 1 reproduction (sizes {table1.SIZES[0]}..{table1.SIZES[-1]})",
-        ["operation", f"mesh t(n={table1.SIZES[-1]})", "mesh fit",
-         f"cube t(n={table1.SIZES[-1]})", "cube fit",
-         "cube expected (randomized)"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("table1",),
+                              rounds=1, iterations=1)[0][2]
     fits = {r[0]: r for r in rows}
     # Mesh: every operation Theta(sqrt n) -> exponent ~0.5.
     for op in table1.OPS:

@@ -7,35 +7,24 @@ on lambda-bound many PEs.  Generation in :mod:`repro.report.table2`.
 
 import pytest
 
-from repro.machines import hypercube_machine, mesh_machine
+from repro.machines import mesh_machine
 from repro.report import table2
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("table2")
+from _util import rendered
 
 
 def test_table2_report(benchmark):
-    rows = benchmark.pedantic(table2.rows, rounds=1, iterations=1)
-    report(
-        "table2",
-        "Table 2 reproduction (transient problems; per-problem n sweeps)",
-        ["problem", "PEs (lambda bound, max n)", "mesh t", "mesh fit",
-         "cube t", "cube fit"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("table2",),
+                              rounds=1, iterations=1)[0][2]
     for row in rows:
         expo = float(row[3].split("^")[1].split(" ")[0])
         assert 0.3 < expo < 0.85, f"{row[0]}: mesh exponent {expo}"
         plog = float(row[5].split("^")[1])
         assert plog < 3.2, f"{row[0]}: hypercube growth log^{plog}"
     # Mesh strictly slower than the hypercube at the largest size, per row.
-    for problem in table2.PROBLEMS:
-        assert table2.measure(problem, mesh_machine)[-1] > \
-            table2.measure(problem, hypercube_machine)[-1]
+    assert [r[0] for r in rows] == list(table2.PROBLEMS)
+    for row in rows:
+        assert float(row[2]) > float(row[4]), row[0]
 
 
 @pytest.mark.parametrize("problem", list(table2.PROBLEMS))

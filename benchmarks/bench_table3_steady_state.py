@@ -12,23 +12,12 @@ from repro.kinetics.motion import divergent_system
 from repro.machines import mesh_machine
 from repro.report import table3
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("table3")
+from _util import rendered
 
 
 def test_table3_report(benchmark):
-    rows = benchmark.pedantic(table3.rows, rounds=1, iterations=1)
-    report(
-        "table3",
-        f"Table 3 reproduction (steady-state problems, n = {table3.SIZES})",
-        ["problem", "mesh t", "mesh fit", "cube t", "cube fit",
-         "cube expected t (randomized)"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("table3",),
+                              rounds=1, iterations=1)[0][2]
     for row in rows:
         expo = float(row[2].split("^")[1].split(" ")[0])
         assert 0.3 < expo < 0.8, f"{row[0]}: mesh exponent {expo}"

@@ -13,22 +13,12 @@ from repro.geometry import (
 from repro.machines import hypercube_machine
 from repro.report import table4
 
-from _util import fresh, report
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh():
-    fresh("table4")
+from _util import rendered
 
 
 def test_table4_report(benchmark):
-    rows = benchmark.pedantic(table4.rows, rounds=1, iterations=1)
-    report(
-        "table4",
-        f"Table 4 reproduction (static algorithms, n = {table4.SIZES})",
-        ["algorithm", "model", f"t(n={table4.SIZES[-1]})", "fit"],
-        rows,
-    )
+    rows = benchmark.pedantic(rendered, args=("table4",),
+                              rounds=1, iterations=1)[0][2]
     by = {(r[0], r[1]): r[3] for r in rows}
     for key in (("closest pair", "mesh"), ("convex hull", "mesh")):
         expo = float(by[key].split("^")[1].split(" ")[0])

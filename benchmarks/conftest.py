@@ -7,12 +7,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """Under ``-v``, close the run with the host-side diagnostics block
-    (crossing-cache hit rate, per-phase wall-clock across all benches)."""
+    """Under ``-v``, close the run with the registry table and per-phase
+    wall-clock that ``python -m repro.report -v`` prints."""
     # Note: pyproject's ``addopts = "-q"`` offsets pytest's verbosity
-    # counter, so detect the flag itself (shared with _util.verbose()).
-    import _util
+    # counter, so detect the flag itself.
+    if any(a in ("-v", "-vv", "--verbose") for a in sys.argv):
+        from repro.machines.metrics import global_wall_phases
+        from repro.report.__main__ import _diagnostics
+        from repro.trace.registry import REGISTRY
 
-    if _util.verbose():
         terminalreporter.ensure_newline()
-        _util.diagnostics("benchmarks")
+        _diagnostics(REGISTRY.counter_values(), global_wall_phases())

@@ -88,6 +88,8 @@ MUTATORS = frozenset({
 #: Cap on the recorded flow chain; keeps taints finite under recursion.
 VIA_CAP = 6
 
+#: Rounds the fixpoint may take; reaching it unconverged is an error,
+#: since the findings would then depend on the evaluation order.
 MAX_FIXPOINT_ITERS = 12
 
 
@@ -195,6 +197,10 @@ class TaintAnalysis:
                 self._eval_function(self.graph.functions[key], collect=False)
             if self._state_snapshot() == before:
                 break
+        else:
+            raise RuntimeError(
+                f"taint analysis reached no fixed point in "
+                f"{MAX_FIXPOINT_ITERS} rounds (MAX_FIXPOINT_ITERS)")
         self.hits = []
         for key in order:
             self._eval_function(self.graph.functions[key], collect=True)

@@ -11,7 +11,7 @@ one `np.linalg.eigvals` call.
 Bit-identical contract
 ----------------------
 The batched solver must not perturb *any* observable output: the simulated
-parallel-time charges in ``benchmarks/results`` are derived from piece
+parallel-time charges in ``benchmarks/perf/golden`` are derived from piece
 counts, which are derived from root values, so the batch kernel reproduces
 the scalar :meth:`Polynomial.real_roots` pipeline exactly:
 

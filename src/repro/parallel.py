@@ -1,10 +1,9 @@
 """Process-parallel campaign engine.
 
-Oracle campaigns, benchmark sweeps and report generation are embarrassingly
-parallel: hundreds of independent instances, each a pure function of its
-seed or its parameters.  This module is the one shared driver behind every
-``--jobs N`` flag (``python -m repro.verify``, ``python -m repro.report``,
-``benchmarks/_util.parallel_rows``):
+Oracle campaigns and report generation are embarrassingly parallel:
+hundreds of independent instances, each a pure function of its seed or its
+parameters.  This module is the one shared driver behind every ``--jobs N``
+flag (``python -m repro.verify``, ``python -m repro.report``):
 
 * **deterministic inputs** — work items carry their own seeds/parameters;
   nothing is derived from worker identity, so the computation a worker

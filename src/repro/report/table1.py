@@ -82,10 +82,8 @@ def row(op: str) -> list:
     ]
 
 
-def rows(jobs: int = 1) -> list[list]:
-    from ..parallel import parallel_map
-
-    return parallel_map(row, OPS, jobs=jobs)
+def rows() -> list[list]:
+    return [row(op) for op in OPS]
 
 
 def tables() -> list[tuple]:

@@ -12,9 +12,9 @@ few families, all three algorithms):
   itself — as JSON, or as the Prometheus-style text exposition with
   ``--prom`` (see :mod:`repro.obs.prom`).
 
-The heavyweight load harness with the committed artifact lives in
-``benchmarks/bench_service.py``; this entry point exists to demo the
-service and smoke-test an installation in seconds.
+Load measurement is ``python benchmarks/perf/run.py --workload
+served_zipf``; this entry point exists to demo the service and
+smoke-test an installation in seconds.
 """
 
 from __future__ import annotations

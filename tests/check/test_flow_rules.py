@@ -95,6 +95,14 @@ def test_flow_fixture_exact_findings():
     ]
 
 
+def test_unconverged_fixpoint_fails_loudly(monkeypatch):
+    # accflow.py's first round carries the set taint out of weights(),
+    # so one round cannot confirm a fixed point.
+    monkeypatch.setattr("repro.check.flow.taint.MAX_FIXPOINT_ITERS", 1)
+    with pytest.raises(RuntimeError, match="no fixed point in 1 rounds"):
+        run_check(FIXTURES / "flow" / "machines" / "accflow.py")
+
+
 def test_flow_findings_carry_the_call_chain():
     report = findings_of("flow")
     by_file = {f.path.rsplit("/", 1)[-1]: f.message for f in report.active}

@@ -50,7 +50,7 @@ class TestDirectEquivalence:
     def test_parallel_map_baseline_matches_the_service(self, serve):
         # The campaign engine computes the same baselines at scale with
         # its deterministic merge-by-index; the service must agree with
-        # that path too (it is what bench_service replays against).
+        # that path too.
         reqs = mixed_stream()
         resps, _ = serve(reqs, shards=2)
         baselines = parallel_map(direct_item,

@@ -68,6 +68,7 @@ class TestEndToEnd:
         s = svc.counters
         assert s.requests == len(reqs)
         assert s.responses == s.requests  # no faults in the smoke stream
+        assert s.errors == 0
         assert s.cache_hit_requests + s.cold_requests + \
             s.coalesced_requests == s.responses
         assert s.dedup_hits >= 1          # the stream repeats requests
