@@ -158,7 +158,7 @@ class CheckPolicy:
     #: pre-formatted message that no consumer can filter on.  Checked in
     #: obs modules and at the service's emission sites.
     obs_emit_calls: tuple[str, ...] = (
-        "emit", "record_event", "record_span",
+        "emit",
     )
 
     #: Taint flow (the RPR001/RPR002 program clauses) — call names whose

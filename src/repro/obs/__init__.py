@@ -8,12 +8,15 @@ records what a *finished* run did — spans, provenance, counters;
   with exact merge, for latency/size/depth distributions;
 * :mod:`~repro.obs.events` — bounded structured lifecycle event logs
   keyed by correlation ids;
-* :mod:`~repro.obs.recorder` — the flight recorder and its
-  ``repro.postmortem/1`` dumps;
-* :mod:`~repro.obs.telemetry` — the per-service bundle of all three,
-  mirrored into the process-wide metrics registry;
+* :mod:`~repro.obs.recorder` — the flight recorder, a view that writes
+  ``repro.postmortem/2`` dumps from the tails of the service's own
+  event log and span ring;
+* :mod:`~repro.obs.telemetry` — the per-service bundle of the
+  histograms and the event log (each signal is kept once, on the
+  service instance; nothing is mirrored into the process-wide metrics
+  registry);
 * :mod:`~repro.obs.prom` — Prometheus-style text exposition of the
-  ``repro.obs/1`` stats snapshot.
+  ``repro.obs/2`` stats snapshot.
 
 Contracts (docs/operations.md): telemetry reads only the host clock and
 never a simulated charge; every buffer is bounded, drop-accounted, and

@@ -67,31 +67,35 @@ class EventLog:
         serialises them as-is) — callers pass ``code="bad_request"``,
         never a pre-formatted message string.
         """
+        return self.record(event, cid, fields)
+
+    def record(self, event: str, cid: str | None, fields: dict) -> dict:
+        """Stamp the next sequence number onto ``fields``, retain it in
+        the ring and mirror it to the sink; returns it.
+
+        The one implementation behind :meth:`emit` and
+        :meth:`ServiceTelemetry.emit
+        <repro.obs.telemetry.ServiceTelemetry.emit>`, which hand over
+        their keyword dict as is (re-packing ``**fields`` through a
+        second keyword call would double the per-event cost).  The dict
+        returned is the record the ring, the sink and any postmortem
+        share.
+        """
         if event not in EVENTS:
             raise ValueError(f"unknown event {event!r}; "
                              f"vocabulary: {sorted(EVENTS)}")
         fields["event"] = event
         fields["cid"] = cid
-        return self.append_record(fields)
-
-    def append_record(self, rec: dict) -> dict:
-        """Stamp the next sequence number onto ``rec`` and retain it.
-
-        The validated hot path: ``rec`` must already carry ``event`` and
-        ``cid`` (:meth:`emit` and :meth:`ServiceTelemetry.emit
-        <repro.obs.telemetry.ServiceTelemetry.emit>` both funnel here so
-        one dict serves the log, the recorder, and the sink).
-        """
-        rec["seq"] = self._seq
+        fields["seq"] = self._seq
         self._seq += 1
         self.emitted += 1
         if self.capacity > 0:
             if len(self.records) >= self.capacity:
                 self.dropped += 1  # the deque evicts the oldest itself
-            self.records.append(rec)
+            self.records.append(fields)
         if self._path is not None:
-            self._write_sink(rec)
-        return rec
+            self._write_sink(fields)
+        return fields
 
     def _write_sink(self, rec: dict) -> None:
         """Mirror one record to the JSONL sink (opened lazily)."""

@@ -226,16 +226,6 @@ class Log2Histogram:
             "buckets": list(self.buckets),
         }
 
-    def summary(self, qs=(0.50, 0.99)) -> dict:
-        """The compact form registry snapshots embed (no bucket array)."""
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.vmin,
-            "max": self.vmax,
-            **self.percentiles(qs),
-        }
-
     @staticmethod
     def from_dict(doc: dict) -> "Log2Histogram":
         """Rebuild a histogram from :meth:`to_dict` output (lossless)."""

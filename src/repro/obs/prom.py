@@ -1,4 +1,4 @@
-"""Prometheus-style text exposition of a ``repro.obs/1`` snapshot.
+"""Prometheus-style text exposition of a ``repro.obs/2`` snapshot.
 
 Renders the :meth:`QueryService.stats()` snapshot in the classic
 text-based exposition format: counters as untyped gauges, histograms as
@@ -68,13 +68,13 @@ def _render_histogram(name: str, doc: dict, lines: list[str]) -> None:
 
 
 def render_prometheus(snapshot: dict) -> str:
-    """The text exposition of one ``repro.obs/1`` stats snapshot."""
+    """The text exposition of one ``repro.obs/2`` stats snapshot."""
     lines: list[str] = []
     schema = snapshot.get("schema")
     if schema:
         lines.append(f"# repro stats snapshot schema={schema}")
     for section in ("uptime", "counters", "cache", "dynamic", "pools",
-                    "events", "recorder"):
+                    "events"):
         tree = snapshot.get(section)
         if not isinstance(tree, dict):
             continue

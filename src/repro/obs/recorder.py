@@ -1,114 +1,67 @@
-"""The flight recorder: recent events + spans, dumped on failure.
+"""The flight recorder: a postmortem view over the service's own rings.
 
-A :class:`FlightRecorder` keeps the **most recent** lifecycle events and
-span dicts in bounded rings — cheap enough to run always-on — so that
-when the service degrades (a batch exhausts its retries into a
-``ServiceError``) or a worker dies, :meth:`dump` can write a
-provenance-stamped ``repro.postmortem/1`` file capturing what the
-service was doing *just before* the failure.  ``python -m repro.report
-postmortem <file>`` renders the dump, grouping the failing request's
-full correlated event chain by ``cid``.
+A :class:`FlightRecorder` keeps nothing of its own.  It reads the tail of
+the service's event log (:class:`~repro.obs.events.EventLog`) and of its
+span ring, so that when the service degrades (a batch exhausts its
+retries into a ``ServiceError``) or a worker dies, :meth:`dump` can
+write a provenance-stamped ``repro.postmortem/2`` file capturing what
+the service was doing *just before* the failure: the last
+:data:`POSTMORTEM_EVENTS` events and the last :data:`POSTMORTEM_SPANS`
+spans still retained.  An event the log has already dropped is not in
+the dump.  ``python -m repro.report postmortem <file>`` renders the
+dump, grouping the failing request's full correlated event chain by
+``cid``.
 
-Like every telemetry buffer in :mod:`repro.obs`, the rings are bounded
-with exact drop accounting and clearable (RPR004/RPR009); the recorder
-itself reads no clock — the provenance manifest stamped into a dump is
-the only timestamp, taken once at dump time.
+The recorder reads no clock: the provenance manifest stamped into a dump
+is the only timestamp, taken once at dump time.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from collections import deque
+from typing import Sequence
 
-__all__ = ["POSTMORTEM_SCHEMA", "FlightRecorder"]
+from .events import EventLog
 
-POSTMORTEM_SCHEMA = "repro.postmortem/1"
+__all__ = ["POSTMORTEM_EVENTS", "POSTMORTEM_SCHEMA", "POSTMORTEM_SPANS",
+           "FlightRecorder"]
+
+POSTMORTEM_SCHEMA = "repro.postmortem/2"
+
+#: How many of the most recent events and spans a postmortem keeps.
+POSTMORTEM_EVENTS = 512
+POSTMORTEM_SPANS = 256
 
 
 class FlightRecorder:
-    """Bounded rings of recent events and spans + the postmortem dump."""
+    """Builds and writes postmortems from an event log and a span ring."""
 
-    def __init__(self, event_capacity: int = 512, span_capacity: int = 256):
-        self.event_capacity = max(0, int(event_capacity))
-        self.span_capacity = max(0, int(span_capacity))
-        # Deque rings: O(1) eviction keeps always-on recording cheap at
-        # serving rates (a list ring memmoves on every overflow drop).
-        self._events: deque = deque(maxlen=self.event_capacity or None)
-        self._spans: deque = deque(maxlen=self.span_capacity or None)
-        self.events_dropped = 0
-        self.spans_dropped = 0
-        self.dumps = 0
+    def __init__(self, events: EventLog, spans: Sequence[dict]):
+        self._log = events
+        self._spans = spans
 
-    @property
-    def events(self) -> list[dict]:
-        """The retained event ring, oldest first."""
-        return list(self._events)
-
-    @property
-    def spans(self) -> list[dict]:
-        """The retained span ring, oldest first."""
-        return list(self._spans)
-
-    # ------------------------------------------------------------------
-    def record_event(self, rec: dict) -> None:
-        if self.event_capacity <= 0:
-            return
-        if len(self._events) >= self.event_capacity:
-            self.events_dropped += 1  # the deque evicts the oldest itself
-        self._events.append(rec)
-
-    def record_span(self, span: dict) -> None:
-        if self.span_capacity <= 0:
-            return
-        if len(self._spans) >= self.span_capacity:
-            self.spans_dropped += 1  # the deque evicts the oldest itself
-        self._spans.append(span)
-
-    # ------------------------------------------------------------------
     def document(self, reason: str, context: dict | None = None,
-                 stats: dict | None = None,
-                 provenance: bool = True) -> dict:
+                 stats: dict | None = None) -> dict:
         """The postmortem document (what :meth:`dump` writes)."""
         from ..trace.provenance import provenance_manifest
 
-        doc = {
+        return {
             "schema": POSTMORTEM_SCHEMA,
             "reason": reason,
             "context": dict(context or {}),
-            "events": list(self._events),
-            "spans": list(self._spans),
+            "events": list(self._log.records)[-POSTMORTEM_EVENTS:],
+            "spans": list(self._spans)[-POSTMORTEM_SPANS:],
             "stats": dict(stats or {}),
-            "recorder": self.stats(),
+            "provenance": provenance_manifest(
+                config={"mode": "postmortem", "reason": reason}),
         }
-        if provenance:
-            doc["provenance"] = provenance_manifest(
-                config={"mode": "postmortem", "reason": reason})
-        return doc
 
     def dump(self, path, reason: str, context: dict | None = None,
-             stats: dict | None = None,
-             provenance: bool = True) -> pathlib.Path:
+             stats: dict | None = None) -> pathlib.Path:
         """Write the postmortem file for ``reason``; returns its path."""
         path = pathlib.Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        doc = self.document(reason, context, stats, provenance)
+        doc = self.document(reason, context, stats)
         path.write_text(json.dumps(doc, indent=1, default=str) + "\n")
-        self.dumps += 1
         return path
-
-    # ------------------------------------------------------------------
-    def stats(self) -> dict:
-        return {
-            "events": len(self._events),
-            "event_capacity": self.event_capacity,
-            "events_dropped": self.events_dropped,
-            "spans": len(self._spans),
-            "span_capacity": self.span_capacity,
-            "spans_dropped": self.spans_dropped,
-            "dumps": self.dumps,
-        }
-
-    def clear(self) -> None:
-        self._events.clear()
-        self._spans.clear()

@@ -1,17 +1,14 @@
-"""Per-service telemetry bundle: histograms + events + flight recorder.
+"""Per-service telemetry bundle: histograms + the event log + cid mint.
 
 :class:`ServiceTelemetry` is the one object :class:`repro.service.server.
 QueryService` holds for its operational signals.  It owns
 
 * the five serving histograms of :data:`HIST_SPECS` as **instance**
-  cells (one service's distribution, resettable with the service), each
-  mirrored into the process-wide
-  :class:`~repro.trace.registry.MetricsRegistry` histogram cell of the
-  same name so ``registry_snapshot()`` stays the single cross-subsystem
-  snapshot API;
-* the bounded :class:`~repro.obs.events.EventLog` and
-  :class:`~repro.obs.recorder.FlightRecorder` (every emitted event is
-  also recorded for postmortems);
+  cells (one service's distribution, resettable with the service) — the
+  only copy: no process-wide registry cell mirrors them;
+* the bounded :class:`~repro.obs.events.EventLog`, the one ring every
+  lifecycle event is appended to (a postmortem reads its tail, see
+  :mod:`repro.obs.recorder`);
 * the correlation-id mint: ``q``/``m``/``d`` prefixes for query,
   mutation, and dynamic-query requests and ``b`` for batch units, each
   numbered by its own monotone counter — ids are deterministic for a
@@ -24,17 +21,13 @@ queue/batch sizes, and nothing here ever touches a simulated charge.
 
 from __future__ import annotations
 
-import math
-
-from ..trace.registry import REGISTRY
-from .events import EVENTS, EventLog
+from .events import EventLog
 from .hist import Log2Histogram
-from .recorder import FlightRecorder
 
 __all__ = ["HIST_SPECS", "STATS_SCHEMA", "ServiceTelemetry"]
 
 #: The versioned stats-snapshot schema tag (`QueryService.stats()`).
-STATS_SCHEMA = "repro.obs/1"
+STATS_SCHEMA = "repro.obs/2"
 
 #: The serving histograms.  Ranges are powers of two end to end so the
 #: bucket edges are exact floats: latencies span ~1 us .. 64 s, sizes
@@ -52,27 +45,14 @@ _CID_DOMAINS = ("q", "m", "d", "b")
 
 
 class ServiceTelemetry:
-    """One service instance's histograms, event log, and recorder."""
+    """One service instance's histograms, event log, and cid mint."""
 
-    def __init__(self, *, event_capacity: int = 4096,
-                 recorder_events: int = 512, recorder_spans: int = 256,
-                 events_path=None, registry=REGISTRY):
+    def __init__(self, *, event_capacity: int = 4096, events_path=None):
         self.hists = {
             name: Log2Histogram(name, **spec)
             for name, spec in HIST_SPECS.items()
         }
-        self._registry_hists = {
-            name: registry.histogram(f"service.hist.{name}", **spec)
-            for name, spec in HIST_SPECS.items()
-        }
-        #: Hot-path pairs: (instance cell, registry mirror) per name, so
-        #: :meth:`observe` is two bound-method calls off one lookup.
-        self._cells = {
-            name: (self.hists[name], self._registry_hists[name])
-            for name in HIST_SPECS
-        }
         self.events = EventLog(event_capacity, path=events_path)
-        self.recorder = FlightRecorder(recorder_events, recorder_spans)
         self._mints = {domain: 0 for domain in _CID_DOMAINS}
 
     # ------------------------------------------------------------------
@@ -88,75 +68,12 @@ class ServiceTelemetry:
     # Signals
     # ------------------------------------------------------------------
     def observe(self, name: str, value: float) -> None:
-        """Record one sample into the instance + registry histograms.
-
-        Both cells declare the identical ``(lo, hi)`` range (they come
-        from the same :data:`HIST_SPECS` entry), so the bucket index is
-        computed once and applied to both — half the arithmetic of two
-        :meth:`~repro.obs.hist.Log2Histogram.observe` calls on the
-        per-request hot path.
-        """
-        inst, mirror = self._cells[name]
-        value = float(value)
-        if value < inst.lo:
-            idx = 0
-        elif value >= inst.hi:
-            idx = inst.n + 1
-        else:
-            idx = math.frexp(value / inst.lo)[1]
-            if idx < 1:
-                idx = 1
-            elif idx > inst.n:
-                idx = inst.n
-        for h in (inst, mirror):
-            h.buckets[idx] += 1
-            h.count += 1
-            h.total += value
-            if h.vmin is None or value < h.vmin:
-                h.vmin = value
-            if h.vmax is None or value > h.vmax:
-                h.vmax = value
+        """Record one sample into the service's histogram ``name``."""
+        self.hists[name].observe(value)
 
     def emit(self, event: str, cid: str | None = None, **fields) -> dict:
-        """Emit one lifecycle event (also retained by the recorder).
-
-        The vocabulary check, sequence stamping, and both ring appends
-        are fully inlined here (one dict per event, shared by the log
-        ring, the recorder ring, and the JSONL sink; the logic mirrors
-        :meth:`EventLog.append_record <repro.obs.events.EventLog.
-        append_record>` + :meth:`FlightRecorder.record_event
-        <repro.obs.recorder.FlightRecorder.record_event>` exactly) —
-        this runs several times per served request, so its cost bounds
-        serving throughput.
-        """
-        if event not in EVENTS:
-            raise ValueError(f"unknown event {event!r}; "
-                             f"vocabulary: {sorted(EVENTS)}")
-        fields["event"] = event
-        fields["cid"] = cid
-        log = self.events
-        fields["seq"] = log._seq
-        log._seq += 1
-        log.emitted += 1
-        if log.capacity > 0:
-            ring = log.records
-            if len(ring) >= log.capacity:
-                log.dropped += 1  # the deque evicts the oldest itself
-            ring.append(fields)
-        if log._path is not None:
-            log._write_sink(fields)
-        rec = self.recorder
-        if rec.event_capacity > 0:
-            ring = rec._events
-            if len(ring) >= rec.event_capacity:
-                rec.events_dropped += 1  # the deque evicts the oldest itself
-            ring.append(fields)
-        return fields
-
-    def record_span(self, span: dict) -> None:
-        """Retain a span dict for postmortems (the service keeps its own
-        full span ring; the recorder holds only the recent tail)."""
-        self.recorder.record_span(span)
+        """Emit one lifecycle event into the event log; returns it."""
+        return self.events.record(event, cid, fields)
 
     # ------------------------------------------------------------------
     # Snapshots / hygiene
@@ -166,20 +83,18 @@ class ServiceTelemetry:
         return {name: h.to_dict() for name, h in self.hists.items()}
 
     def snapshot(self) -> dict:
-        """The telemetry section of the ``repro.obs/1`` stats surface."""
+        """The telemetry sections of the ``repro.obs/2`` stats surface."""
         return {
             "histograms": self.histogram_dicts(),
             "events": self.events.stats(),
-            "recorder": self.recorder.stats(),
         }
 
     def clear(self) -> None:
-        """Clear instance buffers and histograms (registry cells stay —
-        they aggregate across service instances by design)."""
+        """Clear the histograms and the event ring (the event counters
+        and the sequence keep going)."""
         for h in self.hists.values():
             h.clear()
         self.events.clear()
-        self.recorder.clear()
 
     def close(self) -> None:
         self.events.close()

@@ -1,11 +1,12 @@
 """``python -m repro.report postmortem <file>`` — render a flight dump.
 
-Reads a ``repro.postmortem/1`` document (written by the service's
+Reads a ``repro.postmortem/2`` document (written by the service's
 flight recorder on degradation or worker death, see
 :mod:`repro.obs.recorder`) and renders the story an operator needs:
 what failed, in which batch/shard, and the **full correlated event
-chain** of every request the failure took down — reconstructed from the
-recorder's bounded event ring by correlation id.
+chain** of every request the failure took down — reconstructed by
+correlation id from the tail of the service's event log that the dump
+carries.
 
 The renderer is read-only and pure: rendering a dump twice prints the
 same bytes.
@@ -16,6 +17,8 @@ from __future__ import annotations
 import json
 import pathlib
 
+from ..obs.recorder import POSTMORTEM_SCHEMA
+
 __all__ = ["load_postmortem", "render_postmortem", "main"]
 
 
@@ -25,7 +28,7 @@ def load_postmortem(path) -> dict:
     if not isinstance(doc, dict) or "reason" not in doc:
         raise ValueError(f"not a postmortem document: {path}")
     schema = doc.get("schema")
-    if schema != "repro.postmortem/1":
+    if schema != POSTMORTEM_SCHEMA:
         raise ValueError(f"unsupported postmortem schema {schema!r}")
     return doc
 
@@ -68,9 +71,10 @@ def render_postmortem(doc: dict, cid: str | None = None,
     if context:
         lines.append(f"  context: {_fields(context, skip=('cids',))}")
     events = list(doc.get("events") or [])
-    recorder = doc.get("recorder") or {}
+    stats = doc.get("stats") or {}
+    dropped = (stats.get("events") or {}).get("dropped", 0)
     lines.append(f"  recorder: {len(events)} event(s) retained "
-                 f"({recorder.get('events_dropped', 0)} dropped), "
+                 f"({dropped} dropped by the event log), "
                  f"{len(doc.get('spans') or [])} span(s)")
     cids = [cid] if cid else _failing_cids(doc)
     if not cids:
@@ -80,18 +84,19 @@ def render_postmortem(doc: dict, cid: str | None = None,
         chain = _chain(events, c)
         lines.append(f"event chain [{c}] ({len(chain)} event(s)):")
         if not chain:
-            lines.append("  (not retained — raise the recorder's "
-                         "event capacity)")
+            lines.append("  (not retained — older than the dump's "
+                         "event tail)")
         for rec in chain:
             lines.append(f"  seq {rec.get('seq', '?'):>6}  "
                          f"{rec.get('event', '?'):<18s} {_fields(rec)}")
     if len(cids) > len(shown):
         lines.append(f"... and {len(cids) - len(shown)} more failing "
                      f"request(s); rerun with --cid to inspect one")
-    stats = (doc.get("stats") or {}).get("service") or {}
-    if stats:
+    counters = stats.get("counters") or {}
+    if counters:
         keys = ("requests", "responses", "errors", "retries", "batches")
-        summary = "  ".join(f"{k}={stats[k]}" for k in keys if k in stats)
+        summary = "  ".join(f"{k}={counters[k]}" for k in keys
+                            if k in counters)
         lines.append(f"service counters at dump: {summary}")
     return "\n".join(lines)
 
@@ -102,7 +107,7 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.report postmortem",
-        description="Render a repro.postmortem/1 flight-recorder dump "
+        description="Render a repro.postmortem/2 flight-recorder dump "
                     "with the failing requests' correlated event chains.",
     )
     parser.add_argument("file", help="postmortem JSON file")

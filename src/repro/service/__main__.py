@@ -1,16 +1,15 @@
 """``python -m repro.service`` — smoke replay + live stats surface.
 
-Two subcommands share one synthetic workload (zipf-skewed repeats over a
-few families, all three algorithms):
+Replays a synthetic workload (zipf-skewed repeats over a few families,
+all three algorithms) through a live :class:`QueryService` and prints
+its ``repro.obs/2`` snapshot (:meth:`QueryService.stats`) — as JSON, or
+as the Prometheus-style text exposition with ``--prom`` (see
+:mod:`repro.obs.prom`).  ``--fault raise`` arms an injected worker fault
+past the retry budget so the degradation path (structured error +
+postmortem dump) can be demoed end to end.
 
-* ``smoke`` (the default — bare flags still work) replays the stream
-  through a live :class:`QueryService` and prints the serving counters;
-  ``--stats`` embeds the full ``repro.obs/1`` snapshot, and ``--fault``
-  arms an injected worker fault so the degradation path (structured
-  error + flight-recorder postmortem dump) can be demoed end to end;
-* ``stats`` replays the stream and prints the ``repro.obs/1`` snapshot
-  itself — as JSON, or as the Prometheus-style text exposition with
-  ``--prom`` (see :mod:`repro.obs.prom`).
+Exit status: 0 when every request was answered or errored (and, under
+``--fault``, at least one errored and a postmortem was written), else 1.
 
 Load measurement is ``python benchmarks/perf/run.py --workload
 served_zipf``; this entry point exists to demo the service and
@@ -58,21 +57,19 @@ def build_stream(n_queries: int, n_families: int, seed: int,
 
 
 async def _serve(stream: list[QueryRequest], args: argparse.Namespace,
-                 *, fault: str | None = None,
-                 postmortem_dir: str | None = None,
-                 ) -> tuple[QueryService, int]:
+                 postmortem_dir: str | None) -> tuple[QueryService, int]:
     """Replay ``stream``; returns the (stopped) service and error count."""
     svc = QueryService(shards=args.shards, workers=args.workers,
                       cache_capacity=args.cache, max_batch=args.max_batch,
                       # No retry budget under injected faults: concurrent
                       # units would otherwise absorb the one-shot faults
                       # across their retries and never degrade.
-                      retries=0 if fault else 1,
+                      retries=0 if args.fault else 1,
                       postmortem_dir=postmortem_dir)
     errors = 0
     async with svc:
-        if fault:
-            svc.inject_fault(fault)
+        if args.fault:
+            svc.inject_fault(args.fault)
         for start in range(0, len(stream), args.wave):
             wave = stream[start:start + args.wave]
             results = await asyncio.gather(
@@ -81,7 +78,11 @@ async def _serve(stream: list[QueryRequest], args: argparse.Namespace,
     return svc, errors
 
 
-def _add_serve_args(parser: argparse.ArgumentParser) -> None:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.service",
+        description="replay a synthetic query stream and print the "
+                    "service's repro.obs/2 stats snapshot")
     parser.add_argument("--queries", type=int, default=400)
     parser.add_argument("--families", type=int, default=24)
     parser.add_argument("--seed", type=int, default=0)
@@ -93,76 +94,31 @@ def _add_serve_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-batch", type=int, default=64)
     parser.add_argument("--wave", type=int, default=64,
                         help="concurrent submissions per wave")
-
-
-def _smoke(args: argparse.Namespace) -> int:
+    parser.add_argument("--prom", action="store_true",
+                        help="Prometheus-style text exposition instead "
+                             "of JSON")
+    parser.add_argument("--fault", choices=("raise",), default=None,
+                        help="inject a worker fault past the retry budget "
+                             "(demos degradation + the postmortem dump)")
+    parser.add_argument("--postmortem-dir", default=None, metavar="DIR",
+                        help="where --fault postmortems land "
+                             "(default: current directory)")
+    args = parser.parse_args(argv)
     postmortem_dir = args.postmortem_dir
     if args.fault and postmortem_dir is None:
         postmortem_dir = "."
     stream = build_stream(args.queries, args.families, args.seed)
-    svc, errors = asyncio.run(
-        _serve(stream, args, fault=args.fault,
-               postmortem_dir=postmortem_dir))
-    out = svc.stats_dict()
-    if args.fault:
-        out["errors"] = errors
-        out["postmortem"] = (str(svc.last_postmortem)
-                             if svc.last_postmortem else None)
-    if args.stats:
-        out["stats"] = svc.stats()
-    json.dump(out, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-    responses = out["service"]["responses"]
-    ok = responses + errors == args.queries
-    if args.fault:
-        ok = ok and errors > 0 and out["postmortem"] is not None
-    return 0 if ok else 1
-
-
-def _stats(args: argparse.Namespace) -> int:
-    stream = build_stream(args.queries, args.families, args.seed)
-    svc, errors = asyncio.run(_serve(stream, args))
+    svc, errors = asyncio.run(_serve(stream, args, postmortem_dir))
     snapshot = svc.stats()
     if args.prom:
         sys.stdout.write(render_prometheus(snapshot))
     else:
         json.dump(snapshot, sys.stdout, indent=2)
         sys.stdout.write("\n")
-    return 0 if not errors else 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # Backward compatibility: bare flags mean the smoke replay.
-    if not argv or argv[0].startswith("-"):
-        argv = ["smoke", *argv]
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.service",
-        description="smoke-replay a synthetic query stream and inspect "
-                    "the serving telemetry")
-    sub = parser.add_subparsers(dest="command", required=True)
-    smoke = sub.add_parser(
-        "smoke", help="replay the stream and print serving counters")
-    _add_serve_args(smoke)
-    smoke.add_argument("--stats", action="store_true",
-                       help="embed the full repro.obs/1 stats snapshot")
-    smoke.add_argument("--fault", choices=("raise",), default=None,
-                       help="inject a worker fault past the retry budget "
-                            "(demos degradation + the postmortem dump)")
-    smoke.add_argument("--postmortem-dir", default=None, metavar="DIR",
-                       help="where --fault postmortems land "
-                            "(default: current directory)")
-    smoke.set_defaults(fn=_smoke)
-    stats = sub.add_parser(
-        "stats", help="replay the stream and print the repro.obs/1 "
-                      "stats snapshot")
-    _add_serve_args(stats)
-    stats.add_argument("--prom", action="store_true",
-                       help="Prometheus-style text exposition instead "
-                            "of JSON")
-    stats.set_defaults(fn=_stats)
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    ok = snapshot["counters"]["responses"] + errors == args.queries
+    if args.fault:
+        ok = ok and errors > 0 and svc.last_postmortem is not None
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -10,10 +10,9 @@ for module-level memos and mirrored here for instance state):
   merely diverse stream cannot grow a shard past its cap;
 * **clearable** — :meth:`ShardedResultCache.clear` empties every shard
   (and the service calls it on shutdown);
-* **accounted** — hits/misses/evictions are exact instance counters,
-  mirrored into the process-wide :mod:`repro.trace.registry` so the
-  ``--verbose`` counter table and trace exports show serving behaviour
-  next to the crossing/plan caches.
+* **accounted** — hits/misses/evictions/invalidations are exact
+  instance counters, reported by :meth:`ShardedResultCache.stats` (the
+  ``cache`` section of ``QueryService.stats()``) and nowhere else.
 
 Entries are immutable once inserted (the service never mutates a cached
 run), so a hit returns the same object a cold run produced — byte-equal
@@ -24,15 +23,9 @@ from __future__ import annotations
 
 import math
 
-from ..trace.registry import get_counter
 from .model import shard_of
 
 __all__ = ["ShardedResultCache"]
-
-_HITS = get_counter("service.cache.hits")
-_MISSES = get_counter("service.cache.misses")
-_EVICTIONS = get_counter("service.cache.evictions")
-_INVALIDATIONS = get_counter("service.cache.invalidations")
 
 
 class ShardedResultCache:
@@ -65,17 +58,14 @@ class ShardedResultCache:
         """The cached entry for ``key`` (refreshing recency), or ``None``."""
         if self.per_shard == 0:
             self.misses += 1
-            _MISSES.inc()
             return None
         shard = self._shard(key)
         entry = shard.pop(key, None)
         if entry is None:
             self.misses += 1
-            _MISSES.inc()
             return None
         shard[key] = entry  # reinsert: most-recently-used position
         self.hits += 1
-        _HITS.inc()
         return entry
 
     def put(self, key: tuple, entry: dict) -> None:
@@ -88,7 +78,6 @@ class ShardedResultCache:
             oldest = next(iter(shard))
             del shard[oldest]
             self.evictions += 1
-            _EVICTIONS.inc()
         shard[key] = entry
 
     def invalidate(self, key: tuple) -> bool:
@@ -105,7 +94,6 @@ class ShardedResultCache:
         removed = self._shard(key).pop(key, None) is not None
         if removed:
             self.invalidations += 1
-            _INVALIDATIONS.inc()
         return removed
 
     def clear(self) -> None:

@@ -23,9 +23,9 @@ Serving discipline:
   waiters receive a structured :class:`~repro.service.model.ServiceError`
   — the service itself keeps serving;
 * **observability** — every served batch appends a ``batch`` span (with
-  the run's simulated charges) carrying per-request child spans, and
-  hit/miss/batch-size counters land in the process-wide
-  :class:`~repro.trace.registry.MetricsRegistry`.  Responses carry a
+  the run's simulated charges) carrying per-request child spans to the
+  bounded span ring, and exact hit/miss/batch-size counters land in the
+  instance's :class:`ServiceStats`.  Responses carry a
   ``repro.provenance/1`` manifest.
 
 Operational telemetry (:mod:`repro.obs`, docs/operations.md) rides every
@@ -34,8 +34,9 @@ propagated through planner batches (``bid``), worker payloads, retries,
 spans, and the structured lifecycle event log, so one grep reconstructs
 any request's path; latency/size/depth distributions land in
 deterministic log2 histograms; :meth:`QueryService.stats` returns the
-versioned ``repro.obs/1`` snapshot; and a bounded flight recorder dumps
-a ``repro.postmortem/1`` file on degradation or worker death.  All of it
+versioned ``repro.obs/2`` snapshot; and the flight recorder dumps the
+tails of the event log and the span ring as a ``repro.postmortem/2``
+file on degradation or worker death.  Each signal is kept once.  All of it
 is host-clock-only — with telemetry fully enabled, response payloads and
 simulated charges are bit-identical to an untelemetered run.
 """
@@ -44,14 +45,15 @@ from __future__ import annotations
 
 import asyncio
 import pathlib
+from collections import deque
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable
 
+from ..obs.recorder import FlightRecorder
 from ..obs.telemetry import STATS_SCHEMA, ServiceTelemetry
 from ..trace.provenance import provenance_manifest
-from ..trace.registry import get_counter
 from .cache import ShardedResultCache
 from .dynamic import DynamicFamilyStore
 from .model import (
@@ -69,19 +71,6 @@ from .planner import BatchUnit, plan_batches
 from .workers import ShardPools, execute_batch
 
 __all__ = ["QueryService", "ServiceStats"]
-
-_REQUESTS = get_counter("service.requests")
-_RESPONSES = get_counter("service.responses")
-_BATCHES = get_counter("service.batches")
-_BATCHED = get_counter("service.batched_requests")
-_BATCH_MAX = get_counter("service.batch_max")
-_DEDUP = get_counter("service.dedup_hits")
-_RETRIES = get_counter("service.retries")
-_ERRORS = get_counter("service.errors")
-_CANCELLED = get_counter("service.cancelled")
-_MUTATIONS = get_counter("service.mutations")
-_DYN_QUERIES = get_counter("service.dynamic_queries")
-_POSTMORTEMS = get_counter("service.postmortems")
 
 
 @dataclass
@@ -142,13 +131,11 @@ class QueryService:
     """
 
     def __init__(self, *, shards: int = 2, workers: str = "thread",
-                 cache_capacity: int = 256, cache_shards: int | None = None,
+                 cache_capacity: int = 256,
                  batching: bool = True, max_batch: int = 64,
                  batch_window: float = 0.0, machine_size: int = 64,
                  retries: int = 1, span_limit: int = 4096,
-                 provenance: bool = True,
-                 event_capacity: int = 4096, recorder_events: int = 512,
-                 recorder_spans: int = 256,
+                 event_capacity: int = 4096,
                  events_path: str | pathlib.Path | None = None,
                  postmortem_dir: str | pathlib.Path | None = None,
                  ) -> None:
@@ -160,22 +147,17 @@ class QueryService:
         self.machine_size = int(machine_size)
         self.retries = max(0, int(retries))
         self.span_limit = max(0, int(span_limit))
-        self._want_provenance = bool(provenance)
-        self.cache = ShardedResultCache(
-            cache_capacity,
-            shards=cache_shards if cache_shards is not None else self.n_shards,
-        )
+        self.cache = ShardedResultCache(cache_capacity, shards=self.n_shards)
         self.dynamic = DynamicFamilyStore()
         self.counters = ServiceStats()
         self.obs = ServiceTelemetry(event_capacity=event_capacity,
-                                    recorder_events=recorder_events,
-                                    recorder_spans=recorder_spans,
                                     events_path=events_path)
+        self.spans: deque = deque(maxlen=self.span_limit)
+        self.recorder = FlightRecorder(self.obs.events, self.spans)
         self.postmortem_dir = postmortem_dir
         self.last_postmortem = None
         self._t0: float | None = None
         self._uptime = 0.0
-        self.spans: list[dict] = []
         self._pending: list[_Pending] = []
         self._inflight: dict[tuple, asyncio.Task] = {}
         self._faults: list[str] = []
@@ -200,11 +182,7 @@ class QueryService:
             "batch_window": self.batch_window,
             "machine_size": self.machine_size,
         }
-        if self._want_provenance:
-            self._provenance = provenance_manifest(config=config)
-        else:
-            self._provenance = {"schema": "repro.provenance/1",
-                                "config": config}
+        self._provenance = provenance_manifest(config=config)
         self._pools = ShardPools(self.n_shards, self.worker_mode)
         self._wake = asyncio.Event()
         self._batcher = self._loop.create_task(self._batch_loop())
@@ -268,7 +246,6 @@ class QueryService:
         fut: asyncio.Future = self._loop.create_future()
         self._pending.append(_Pending(req, fut, perf_counter(), cid))
         self.counters.requests += 1
-        _REQUESTS.inc()
         self._wake.set()
         return await fut
 
@@ -318,7 +295,6 @@ class QueryService:
         )
         self.counters.mutations += 1
         self.counters.invalidated_keys += invalidated
-        _MUTATIONS.inc()
         latency = perf_counter() - t0
         self.obs.emit("mutation_applied", cid, name=m.name, action=m.action,
                       version=result.get("version"), invalidated=invalidated)
@@ -389,7 +365,6 @@ class QueryService:
         self.counters.dynamic_queries += 1
         if cache_hit:
             self.counters.dynamic_cache_hits += 1
-        _DYN_QUERIES.inc()
         payload = {
             "schema": "repro.service/1",
             "algorithm": "envelope",
@@ -459,12 +434,8 @@ class QueryService:
         self.counters.batches += 1
         self.counters.batched_requests += unit.size
         self.counters.dedup_hits += unit.dedup_hits
-        _BATCHES.inc()
-        _BATCHED.inc(unit.size)
-        _DEDUP.inc(unit.dedup_hits)
         if unit.size > self.counters.batch_max:
             self.counters.batch_max = unit.size
-            _BATCH_MAX.value = max(_BATCH_MAX.value, unit.size)
         self.obs.observe("batch_size", unit.size)
         # One batch-scoped event for the whole unit (like ``dispatched``):
         # ``cids`` carries every attached request, so ``for_cid`` still
@@ -564,7 +535,6 @@ class QueryService:
                     })
                 if attempts > self.retries:
                     self.counters.errors += 1
-                    _ERRORS.inc()
                     raise ServiceError(
                         "worker_failed",
                         f"batch failed after {attempts} attempt(s): {exc!r}",
@@ -573,7 +543,6 @@ class QueryService:
                          "batch_size": unit.size},
                     ) from exc
                 self.counters.retries += 1
-                _RETRIES.inc()
 
     def _build_payload(self, unit: BatchUnit) -> dict:
         proto = unit.waiters[0].request
@@ -611,7 +580,6 @@ class QueryService:
             latency = now - pending.t0
             if fut.done():  # the client cancelled: never poison the batch
                 self.counters.cancelled += 1
-                _CANCELLED.inc()
                 continue
             try:
                 rk = pending.request.key()
@@ -626,7 +594,6 @@ class QueryService:
                     "answer_failed", f"query evaluation failed: {exc!r}",
                     {"request": pending.request.to_dict()}))
                 self.counters.errors += 1
-                _ERRORS.inc()
                 obs_emit("failed", pending.cid, batch=unit.bid,
                          code="answer_failed")
                 continue
@@ -642,7 +609,6 @@ class QueryService:
             }
             fut.set_result(QueryResponse(payload, meta, self._provenance))
             self.counters.responses += 1
-            _RESPONSES.inc()
             obs_observe("request_latency_s", latency)
             obs_emit("completed", pending.cid, batch=unit.bid,
                      cache_hit=cache_hit)
@@ -653,11 +619,7 @@ class QueryService:
                           "cid": pending.cid},
                 "sim": None, "wall": latency, "children": [],
             })
-        self._record_span(unit, entry, cache_hit, children)
-
-    def _record_span(self, unit: BatchUnit, entry: dict, cache_hit: bool,
-                     children: list) -> None:
-        span = {
+        self._append_span({
             "name": f"batch:{unit.algorithm}",
             "cat": "batch",
             "attrs": {
@@ -671,8 +633,7 @@ class QueryService:
             "sim": entry.get("sim"),
             "wall": float(entry.get("wall", 0.0)),
             "children": children,
-        }
-        self._append_span(span)
+        })
 
     def _record_aux_span(self, name: str, cat: str, attrs: dict,
                          wall: float) -> None:
@@ -681,12 +642,10 @@ class QueryService:
                            "sim": None, "wall": wall, "children": []})
 
     def _append_span(self, span: dict) -> None:
-        self.obs.record_span(span)
         if self.span_limit <= 0:
             return
         if len(self.spans) >= self.span_limit:
-            del self.spans[0]
-            self.counters.spans_dropped += 1
+            self.counters.spans_dropped += 1  # the deque evicts the oldest
         self.spans.append(span)
 
     # ------------------------------------------------------------------
@@ -701,14 +660,6 @@ class QueryService:
         """
         return list(self.spans)
 
-    def stats_dict(self) -> dict:
-        """Service, cache, and pool counters in one snapshot."""
-        out = {"service": self.counters.to_dict(),
-               "cache": self.cache.stats(),
-               "dynamic": self.dynamic.stats()}
-        out["pool_restarts"] = self._pools.restarts if self._pools else 0
-        return out
-
     def uptime_s(self) -> float:
         """Host-clock seconds serving: live while started, frozen at stop."""
         if self._t0 is not None:
@@ -716,12 +667,12 @@ class QueryService:
         return self._uptime
 
     def stats(self) -> dict:
-        """The live ``repro.obs/1`` operational snapshot.
+        """The live ``repro.obs/2`` operational snapshot.
 
         One versioned dict with everything a scraper or an operator
         wants: exact counters, cache/store occupancy, pool state, full
-        histogram bucket arrays, event-log and flight-recorder
-        accounting, and uptime on **both** clocks (host seconds serving,
+        histogram bucket arrays, event-log accounting, and uptime on
+        **both** clocks (host seconds serving,
         simulated time executed in cold runs).  Render it as text with
         :func:`repro.obs.prom.render_prometheus`.
         """
@@ -739,35 +690,31 @@ class QueryService:
                 "mode": self.worker_mode,
                 "restarts": self._pools.restarts if self._pools else 0,
             },
-            "histograms": self.obs.histogram_dicts(),
-            "events": self.obs.events.stats(),
-            "recorder": self.obs.recorder.stats(),
+            **self.obs.snapshot(),
         }
 
     # ------------------------------------------------------------------
     # Postmortems
     # ------------------------------------------------------------------
     def _postmortem(self, reason: str, context: dict) -> None:
-        """Dump the flight recorder on degradation or worker death.
+        """Dump a postmortem on degradation or worker death.
 
-        Disabled (ring still retained for :meth:`dump_postmortem`) when
+        Disabled (the rings stay live for :meth:`dump_postmortem`) when
         no ``postmortem_dir`` is configured — a library embedding the
         service opts into file drops explicitly.
         """
         if self.postmortem_dir is None:
             return
-        self.counters.postmortems += 1
-        _POSTMORTEMS.inc()
-        name = f"postmortem-{self.counters.postmortems:03d}-{reason}.json"
-        path = pathlib.Path(self.postmortem_dir) / name
-        self.last_postmortem = self.obs.recorder.dump(
-            path, reason, context, self.stats_dict(),
-            provenance=self._want_provenance)
+        name = (f"postmortem-{self.counters.postmortems + 1:03d}-"
+                f"{reason}.json")
+        self.last_postmortem = self.dump_postmortem(
+            pathlib.Path(self.postmortem_dir) / name, reason, context)
 
     def dump_postmortem(self, path: str | pathlib.Path,
                         reason: str = "manual",
                         context: dict | None = None) -> pathlib.Path:
-        """Write a postmortem dump on demand (operator escape hatch)."""
-        return self.obs.recorder.dump(path, reason, context or {},
-                                      self.stats_dict(),
-                                      provenance=self._want_provenance)
+        """Write a postmortem of the event and span rings to ``path``
+        (also the operator escape hatch); counted in
+        ``counters.postmortems``."""
+        self.counters.postmortems += 1
+        return self.recorder.dump(path, reason, context, self.stats())

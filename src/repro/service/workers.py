@@ -21,15 +21,11 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from time import perf_counter
 
-from ..trace.registry import get_counter
 from .model import FamilySpec, QueryRequest, direct_response, run_driver
 
 __all__ = ["execute_batch", "direct_item", "ShardPools", "WORKER_MODES"]
 
 WORKER_MODES = ("thread", "process")
-
-_RESTARTS = get_counter("service.pool.restarts")
-
 
 def execute_batch(payload: dict) -> dict:
     """Run one batch unit's simulated run; returns the run entry.
@@ -101,7 +97,6 @@ class ShardPools:
         pool = self._pools[shard]
         self._pools[shard] = None
         self.restarts += 1
-        _RESTARTS.inc()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 

@@ -15,11 +15,11 @@ The registry unifies them behind two primitives:
 * **gauges** — zero-argument callables sampled at snapshot time, for
   values that are views of live state (cache sizes).
 
-A third cell kind rides along for the serving layer: **histograms** —
-:class:`repro.obs.hist.Log2Histogram` cells for value *distributions*
-(request latency, batch size).  Hot paths hold the cell and call
-``cell.observe(v)``; snapshots embed the compact summary (count, sum,
-extremes, p50/p99) under the cell's name so the flat dict stays flat.
+Value distributions are not registry cells: the query service keeps its
+latency and size histograms on its own instance
+(:class:`repro.obs.telemetry.ServiceTelemetry`), together with its exact
+serving counters (``QueryService.stats()``), so every serving signal is
+stored once.
 
 ``snapshot()`` returns every counter and gauge as one flat
 ``{dotted.name: value}`` dict — the single API trace exporters, the
@@ -37,8 +37,7 @@ from __future__ import annotations
 from typing import Callable
 
 __all__ = ["Counter", "MetricsRegistry", "REGISTRY", "get_counter",
-           "get_histogram", "register_gauge", "registry_snapshot",
-           "reset_counters"]
+           "register_gauge", "registry_snapshot", "reset_counters"]
 
 
 class Counter:
@@ -66,7 +65,6 @@ class MetricsRegistry:
     def __init__(self):
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Callable[[], object]] = {}
-        self._histograms: dict = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str, initial=0) -> Counter:
@@ -84,27 +82,6 @@ class MetricsRegistry:
         """Register (or replace) a lazily sampled gauge."""
         self._gauges[name] = fn
 
-    def histogram(self, name: str, *, lo: float, hi: float, unit: str = ""):
-        """The histogram cell for ``name``, creating it on first use.
-
-        Repeated calls return the same cell; a repeat with a *different*
-        declared range is an error (silent range drift would break the
-        exact-merge contract of :mod:`repro.obs.hist`).
-        """
-        # Imported lazily: obs depends on this registry for mirroring,
-        # so a module-level import here would be a cycle.
-        from ..obs.hist import Log2Histogram
-
-        cell = self._histograms.get(name)
-        if cell is None:
-            cell = self._histograms[name] = Log2Histogram(
-                name, lo=lo, hi=hi, unit=unit)
-        elif (cell.lo, cell.hi) != (float(lo), float(hi)):
-            raise ValueError(
-                f"histogram {name!r} already declared with range "
-                f"({cell.lo}, {cell.hi}); refusing ({lo}, {hi})")
-        return cell
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Every counter value and sampled gauge, as one sorted flat dict."""
@@ -114,21 +91,17 @@ class MetricsRegistry:
                 out[name] = fn()
             except Exception:  # pragma: no cover - defensive: a dead gauge
                 out[name] = None  # must not break diagnostics
-        for name, cell in self._histograms.items():
-            out[name] = cell.summary()
         return dict(sorted(out.items()))
 
     def counter_values(self) -> dict:
-        """Every counter's current value (no gauges or histograms): the
+        """Every counter's current value (no gauges): the
         part of the registry a worker's increments can be summed from."""
         return {name: cell.value for name, cell in self._counters.items()}
 
     def reset(self) -> None:
-        """Zero every counter and histogram (gauges are read-only views)."""
+        """Zero every counter (gauges are read-only views)."""
         for cell in self._counters.values():
             cell.reset()
-        for cell in self._histograms.values():
-            cell.clear()
 
     # ------------------------------------------------------------------
     def render_table(self, snap: dict | None = None) -> str:
@@ -170,11 +143,6 @@ REGISTRY = MetricsRegistry()
 def get_counter(name: str, initial=0) -> Counter:
     """Module-level convenience: ``REGISTRY.counter(name)``."""
     return REGISTRY.counter(name, initial)
-
-
-def get_histogram(name: str, *, lo: float, hi: float, unit: str = ""):
-    """Module-level convenience: ``REGISTRY.histogram(name, ...)``."""
-    return REGISTRY.histogram(name, lo=lo, hi=hi, unit=unit)
 
 
 def register_gauge(name: str, fn: Callable[[], object]) -> None:

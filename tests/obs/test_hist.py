@@ -86,7 +86,7 @@ def test_determinism_same_samples_same_buckets():
 # ----------------------------------------------------------------------
 def test_quantile_empty_is_none():
     assert make().quantile(0.5) is None
-    assert make().summary()["p50"] is None
+    assert make().percentiles((0.5,))["p50"] is None
 
 
 def test_quantile_rejects_out_of_range():

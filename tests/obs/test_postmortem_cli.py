@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from collections import deque
+
+from repro.obs.events import EventLog
 from repro.obs.recorder import FlightRecorder
 from repro.report.postmortem import load_postmortem, main, render_postmortem
 
@@ -12,22 +15,21 @@ pytestmark = pytest.mark.obs
 
 @pytest.fixture
 def dump(tmp_path):
-    rec = FlightRecorder()
-    rec.record_event({"seq": 0, "event": "request_received",
-                      "cid": "q-000000", "algorithm": "envelope"})
-    rec.record_event({"seq": 1, "event": "batched", "cid": "q-000000",
-                      "batch": "b-000000"})
-    rec.record_event({"seq": 2, "event": "dispatched", "cid": "b-000000",
-                      "cids": ["q-000000"], "shard": 0, "attempt": 1})
-    rec.record_event({"seq": 3, "event": "failed", "cid": "q-000000",
-                      "batch": "b-000000", "code": "worker_failed"})
-    rec.record_event({"seq": 4, "event": "completed", "cid": "q-000001"})
-    return rec.dump(
+    log = EventLog()
+    log.emit("request_received", cid="q-000000", algorithm="envelope")
+    log.emit("batched", cid="q-000000", batch="b-000000")
+    log.emit("dispatched", cid="b-000000", cids=["q-000000"], shard=0,
+             attempt=1)
+    log.emit("failed", cid="q-000000", batch="b-000000",
+             code="worker_failed")
+    log.emit("completed", cid="q-000001")
+    return FlightRecorder(log, deque()).dump(
         tmp_path / "pm.json", "service_error",
         context={"batch": "b-000000", "shard": 0, "code": "worker_failed",
                  "cids": ["q-000000"]},
-        stats={"service": {"requests": 2, "responses": 1, "errors": 1,
-                           "retries": 0, "batches": 1}})
+        stats={"counters": {"requests": 2, "responses": 1, "errors": 1,
+                            "retries": 0, "batches": 1},
+               "events": log.stats()})
 
 
 def test_render_reconstructs_the_failing_chain(dump):

@@ -209,12 +209,12 @@ class TestProcessWorkerDeath:
                                     retries=1) as svc:
                 svc.inject_fault("die")
                 resp = await svc.submit(req_a())
-                return resp, svc.stats_dict()
+                return resp, svc.stats()
 
         resp, stats = run_async(go())
         assert resp.meta["attempts"] == 2
-        assert stats["pool_restarts"] >= 1
-        assert stats["service"]["retries"] == 1
+        assert stats["pools"]["restarts"] >= 1
+        assert stats["counters"]["retries"] == 1
 
     def test_repeated_death_degrades_to_structured_error_not_hang(self):
         async def go():

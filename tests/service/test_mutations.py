@@ -171,7 +171,7 @@ class TestMutationsEndToEnd:
         assert svc.counters.mutations == 5
         assert svc.counters.dynamic_queries == 6
         assert svc.counters.dynamic_cache_hits == 2
-        dyn = svc.stats_dict()["dynamic"]
+        dyn = svc.stats()["dynamic"]
         assert dyn["mutations"] == 5
         # stop() cleared the store (RPR004: bounded, clearable, accounted)
         assert dyn["families"] == 0

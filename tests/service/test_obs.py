@@ -5,7 +5,7 @@ service: correlation ids mint at submit and thread through batches,
 worker payloads, spans, and every lifecycle event; the ``repro.obs/1``
 stats snapshot reconciles exactly with the serving counters; telemetry
 never perturbs a payload byte; and a degradation writes a postmortem
-whose event rings reconstruct the failing request's full chain.
+whose event tail reconstructs the failing request's full chain.
 """
 
 import json
@@ -89,8 +89,7 @@ class TestStatsSnapshot:
         snap = svc.stats()
         assert snap["schema"] == STATS_SCHEMA
         assert set(snap) == {"schema", "uptime", "counters", "cache",
-                             "dynamic", "pools", "histograms", "events",
-                             "recorder"}
+                             "dynamic", "pools", "histograms", "events"}
 
     def test_histograms_reconcile_with_counters(self, served):
         _, resps, svc = served
@@ -144,8 +143,7 @@ class TestTelemetryNeutrality:
             return run_async(go())
 
         plain = serve_with()
-        tiny = serve_with(event_capacity=2, recorder_events=1,
-                          recorder_spans=1)
+        tiny = serve_with(event_capacity=2, span_limit=1)
         assert [json.dumps(r.payload, sort_keys=True) for r in plain] == \
             [json.dumps(r.payload, sort_keys=True) for r in tiny]
 
@@ -272,44 +270,75 @@ class TestPostmortem:
         assert svc.last_postmortem is None
         # The rings are still live for the manual escape hatch.
         assert any(r["event"] == "failed"
-                   for r in svc.obs.recorder.events)
+                   for r in svc.obs.events.events())
 
     def test_manual_dump_escape_hatch(self, tmp_path, serve):
         resps, svc = serve(mixed_stream()[:3])
         path = svc.dump_postmortem(tmp_path / "manual.json")
         doc = load_postmortem(path)
         assert doc["reason"] == "manual"
-        assert doc["stats"]["service"]["responses"] == len(resps)
+        assert doc["stats"]["counters"]["responses"] == len(resps)
+        # Manual dumps count like automatic ones.
+        assert doc["stats"]["counters"]["postmortems"] == 1
+        assert svc.counters.postmortems == 1
+
+    def test_postmortem_holds_exactly_the_event_log_tail(self, tmp_path):
+        """A dump reads the service's own rings: with a 2-event log it
+        holds exactly the events the log still retains, same seqs."""
+        async def go():
+            async with QueryService(shards=1, retries=0, event_capacity=2,
+                                    span_limit=1,
+                                    postmortem_dir=tmp_path) as svc:
+                await svc.submit(request("envelope", kind="random",
+                                         seed=3, n=4))
+                svc.inject_fault("raise")
+                with pytest.raises(ServiceError):
+                    await svc.submit(request("envelope", kind="random",
+                                             seed=2, n=4))
+            return svc
+
+        svc = run_async(go())
+        doc = load_postmortem(svc.last_postmortem)
+        retained = [r["seq"] for r in svc.obs.events.events()]
+        assert len(retained) == 2
+        assert [r["seq"] for r in doc["events"]] == retained
+        assert doc["stats"]["events"]["dropped"] == \
+            doc["stats"]["events"]["emitted"] - 2
+        assert doc["spans"] == svc.span_forest()
+        assert len(doc["spans"]) == 1
 
 
 class TestCli:
     def test_smoke_stats_embeds_snapshot(self, capsys):
-        rc = service_main(["smoke", "--queries", "24", "--families", "6",
-                           "--wave", "8", "--stats"])
+        rc = service_main(["--queries", "24", "--families", "6",
+                           "--wave", "8"])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert out["stats"]["schema"] == STATS_SCHEMA
-        assert out["stats"]["histograms"]["request_latency_s"]["count"] \
-            == 24
+        assert out["schema"] == STATS_SCHEMA
+        assert out["histograms"]["request_latency_s"]["count"] == 24
+        assert out["counters"]["responses"] == 24
 
     def test_smoke_fault_writes_postmortem(self, tmp_path, capsys):
-        rc = service_main(["smoke", "--queries", "16", "--families", "4",
+        rc = service_main(["--queries", "16", "--families", "4",
                            "--wave", "8", "--fault", "raise",
                            "--postmortem-dir", str(tmp_path)])
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert out["errors"] > 0
-        assert out["postmortem"] is not None
-        doc = load_postmortem(out["postmortem"])
+        assert out["counters"]["errors"] > 0
+        assert out["counters"]["postmortems"] >= 1
+        dumps = sorted(tmp_path.glob("postmortem-*.json"))
+        assert len(dumps) == out["counters"]["postmortems"]
+        doc = load_postmortem(dumps[0])
         assert doc["reason"] == "service_error"
         assert render_postmortem(doc)  # renders without raising
 
     def test_stats_subcommand_prom_exposition(self, capsys):
-        rc = service_main(["stats", "--queries", "12", "--families", "4",
+        rc = service_main(["--queries", "12", "--families", "4",
                            "--wave", "6", "--prom"])
         text = capsys.readouterr().out
         assert rc == 0
-        assert text.startswith("# repro stats snapshot schema=repro.obs/1")
+        assert text.startswith(
+            f"# repro stats snapshot schema={STATS_SCHEMA}")
         assert "repro_service_counters_responses 12" in text
         assert 'repro_service_request_latency_s_bucket{le="+Inf"} 12' \
             in text

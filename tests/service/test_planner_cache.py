@@ -16,7 +16,7 @@ import pytest
 
 from repro.service import ShardedResultCache, plan_batches, request, run_key
 from repro.service.model import run_driver, shard_of
-from repro.trace.registry import get_counter
+from repro.trace.registry import registry_snapshot
 
 pytestmark = pytest.mark.service
 
@@ -179,15 +179,17 @@ class TestShardedResultCache:
         assert json.dumps(recomputed, sort_keys=True) == \
             json.dumps(entry, sort_keys=True)
 
-    def test_registry_mirrors_instance_counters(self):
-        hits0 = get_counter("service.cache.hits").value
-        ev0 = get_counter("service.cache.evictions").value
+    def test_instance_counters_are_not_mirrored_to_registry(self):
         cache = ShardedResultCache(1, shards=1)
         cache.put(key_of(0), {"v": 0})
         cache.get(key_of(0))
         cache.put(key_of(1), {"v": 1})
-        assert get_counter("service.cache.hits").value == hits0 + 1
-        assert get_counter("service.cache.evictions").value == ev0 + 1
+        cache.invalidate(key_of(1))
+        stats = cache.stats()
+        assert (stats["hits"], stats["evictions"],
+                stats["invalidations"]) == (1, 1, 1)
+        assert [k for k in registry_snapshot()
+                if k.startswith("service.")] == []
 
     def test_capacity_smaller_than_shards_still_holds_one_each(self):
         cache = ShardedResultCache(2, shards=4)

@@ -3,8 +3,8 @@
 Fast by construction (thread workers, small families): proves the whole
 pipeline — submit, plan, shard, run, cache, respond — plus the
 observability surface: provenance manifests on responses, batch/request
-spans consumable by the trace exporters, registry counters, reconciled
-stats, and the ``python -m repro.service`` CLI entry point.
+spans consumable by the trace exporters, instance counters kept once,
+reconciled stats, and the ``python -m repro.service`` CLI entry point.
 """
 
 import json
@@ -13,7 +13,7 @@ import pytest
 
 from repro.service import QueryService, request
 from repro.service.__main__ import build_stream, main
-from repro.trace import get_counter, load_trace_spans
+from repro.trace import load_trace_spans, registry_snapshot
 from repro.trace.export import write_chrome_trace
 from repro.trace.tracer import span_from_dict
 
@@ -72,7 +72,7 @@ class TestEndToEnd:
         assert s.cache_hit_requests + s.cold_requests + \
             s.coalesced_requests == s.responses
         assert s.dedup_hits >= 1          # the stream repeats requests
-        assert svc.stats_dict()["service"] == s.to_dict()
+        assert svc.stats()["counters"] == s.to_dict()
 
     def test_simulated_charges_ride_the_response(self, served):
         _, resps, _ = served
@@ -113,15 +113,25 @@ class TestObservability:
         assert spans == svc.span_forest()
 
     def test_registry_counters_track_serving(self):
-        before = get_counter("service.requests").value
-        reqs = [request("steady_hull", kind="random", seed=9, n=5)]
+        """The registry keeps the host counters of the runs the service
+        executes (movement plans, charge caches), but no serving counter:
+        those live once, on the instance, and ``stats()["counters"]``
+        still reconciles."""
+        reqs = [request("steady_hull", kind="random", seed=9, n=5)] * 3
 
         async def go():
             async with QueryService() as svc:
                 await svc.submit_many(reqs)
+            return svc
 
-        run_async(go())
-        assert get_counter("service.requests").value == before + 1
+        svc = run_async(go())
+        snap = registry_snapshot()
+        assert "movement_plans.misses" in snap
+        assert [k for k in snap if k.startswith("service.")] == []
+        counters = svc.stats()["counters"]
+        assert counters["requests"] == counters["responses"] == 3
+        assert counters["cache_hit_requests"] + counters["cold_requests"] \
+            + counters["coalesced_requests"] == counters["responses"]
 
     def test_span_limit_drops_oldest_batches(self):
         reqs = [request("steady_hull", kind="random", seed=s, n=4)
@@ -155,5 +165,5 @@ class TestCommandLine:
         assert main(["--queries", "40", "--families", "6",
                      "--wave", "16"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["service"]["responses"] == 40
-        assert stats["cache"]["lookups"] == stats["service"]["batches"]
+        assert stats["counters"]["responses"] == 40
+        assert stats["cache"]["lookups"] == stats["counters"]["batches"]
