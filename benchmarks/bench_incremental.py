@@ -92,7 +92,9 @@ def hist_percentiles(hist: Log2Histogram, samples: list[float]) -> dict:
         bound = hist.quantile(q)
         rank = max(1, math.ceil(q * len(ordered)))
         sample = ordered[rank - 1]
-        assert bound == hist.upper_bound(hist.bucket_of(sample)), (
+        alone = Log2Histogram("", lo=hist.lo, hi=hist.hi)
+        alone.observe(sample)
+        assert bound == alone.quantile(1.0), (
             f"p{q * 100:g}: histogram bound {bound} disagrees with the "
             f"bucket of the rank-{rank} sample {sample}")
         out[f"p{q * 100:g}"] = bound

@@ -80,26 +80,14 @@ class Log2Histogram:
     # ------------------------------------------------------------------
     # Observation
     # ------------------------------------------------------------------
-    def bucket_of(self, value: float) -> int:
-        """The bucket index of ``value`` — pure integer/frexp arithmetic.
+    def observe(self, value: float) -> None:
+        """Record one sample (exact count/sum/extremes + one bucket).
 
         ``frexp(value / lo)`` yields ``(m, e)`` with ``m`` in ``[0.5,
         1)``; for a ratio in ``[2**(e-1), 2**e)`` the covering bucket is
         exactly ``e``, with no transcendental call whose rounding could
-        flip a power-of-two boundary.
-        """
-        if value < self.lo:
-            return 0
-        if value >= self.hi:
-            return self.n + 1
-        _, e = math.frexp(value / self.lo)
-        return min(max(e, 1), self.n)
-
-    def observe(self, value: float) -> None:
-        """Record one sample (exact count/sum/extremes + one bucket).
-
-        The bucket arithmetic of :meth:`bucket_of` is inlined — this is
-        the per-sample hot path on the serving loop.
+        flip a power-of-two boundary.  This is the only copy of the
+        bucket arithmetic, on the serving loop's per-sample hot path.
         """
         value = float(value)
         if value < self.lo:

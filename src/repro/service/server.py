@@ -127,7 +127,11 @@ class QueryService:
 
     ``workers`` selects the shard pool mode: ``"thread"`` (in-process,
     sharing the process's caches; the default) or ``"process"``
-    (isolated workers; worker death is survivable).
+    (isolated workers; worker death is survivable).  Thread mode runs
+    every shard on one worker thread, because the GIL lets no two Python
+    threads run the simulator at once; shards run concurrently only in
+    process mode.  ``shards`` partitions the cache and the batch plan in
+    both modes.
     """
 
     def __init__(self, *, shards: int = 2, workers: str = "thread",

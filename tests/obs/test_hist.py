@@ -22,6 +22,14 @@ def make(lo=2.0 ** -10, hi=2.0 ** 4, name="h"):
     return Log2Histogram(name, lo=lo, hi=hi, unit="s")
 
 
+def bucket_of(h, value):
+    """The bucket ``value`` lands in: observe it into a fresh histogram
+    of ``h``'s range and read which bucket rose."""
+    fresh = Log2Histogram(h.name, lo=h.lo, hi=h.hi)
+    fresh.observe(value)
+    return fresh.buckets.index(1)
+
+
 # ----------------------------------------------------------------------
 # Construction and bucket arithmetic
 # ----------------------------------------------------------------------
@@ -44,19 +52,19 @@ def test_bucket_count_is_n_plus_underflow_overflow():
 def test_bucket_edges_are_exact():
     h = make(lo=1.0, hi=16.0)  # buckets: [1,2) [2,4) [4,8) [8,16)
     # Underflow strictly below lo.
-    assert h.bucket_of(0.0) == 0
-    assert h.bucket_of(0.999999) == 0
+    assert bucket_of(h, 0.0) == 0
+    assert bucket_of(h, 0.999999) == 0
     # Every lower edge starts its own bucket; the value just below the
     # edge stays in the previous one — exact, not libm-rounded.
-    assert h.bucket_of(1.0) == 1
-    assert h.bucket_of(2.0) == 2
-    assert h.bucket_of(math.nextafter(2.0, 0.0)) == 1
-    assert h.bucket_of(4.0) == 3
-    assert h.bucket_of(8.0) == 4
-    assert h.bucket_of(math.nextafter(16.0, 0.0)) == 4
+    assert bucket_of(h, 1.0) == 1
+    assert bucket_of(h, 2.0) == 2
+    assert bucket_of(h, math.nextafter(2.0, 0.0)) == 1
+    assert bucket_of(h, 4.0) == 3
+    assert bucket_of(h, 8.0) == 4
+    assert bucket_of(h, math.nextafter(16.0, 0.0)) == 4
     # Saturation at hi.
-    assert h.bucket_of(16.0) == h.n + 1
-    assert h.bucket_of(1e9) == h.n + 1
+    assert bucket_of(h, 16.0) == h.n + 1
+    assert bucket_of(h, 1e9) == h.n + 1
 
 
 def test_observe_tracks_exact_aggregates():
@@ -111,7 +119,7 @@ def test_quantile_is_bucket_upper_bound_of_rank_sample():
         sample = float(ordered[rank - 1])
         bound = h.quantile(q)
         # Exactly the upper edge of the bucket holding the rank sample...
-        assert bound == h.upper_bound(h.bucket_of(sample))
+        assert bound == h.upper_bound(bucket_of(h, sample))
         # ...hence within one bucket's resolution of the exact value
         # (overflowed ranks saturate to inf, explicitly).
         if sample < h.hi:
